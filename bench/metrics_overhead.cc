@@ -2,32 +2,36 @@
 //
 // This source is compiled twice: `metrics_overhead` with metrics on (the
 // default build mode) and `metrics_overhead_off` with -DMCCUCKOO_NO_METRICS.
-// Both fill a McCuckooTable to 90% load and time batched hit lookups with
-// plain std::chrono; their throughputs land in BENCH_throughput.json under
-// the "obs_on." / "obs_off." prefixes, so
+// Both fill a McCuckooTable to 90% load and time hit lookups three ways
+// (bench/lookup_overhead.h) with plain std::chrono; their throughputs land
+// in BENCH_throughput.json under the "obs_on." / "obs_off." prefixes:
 //
-//   obs_on.lookup_hit.McCuckoo.load90 / obs_off.lookup_hit.McCuckoo.load90
+//   lookup_hit.McCuckoo.load90                  bulk FindBatch, one thread
+//   lookup_hit.McCuckoo.load90.scalar           Find per key, one thread
+//   lookup_hit.ShardedMcCuckoo.optimistic.load90.scalar.tN
+//                                               Find on N = nproc threads
 //
-// is the measured relative cost of metrics recording (acceptance: >= 0.95).
-// Both binaries link only mccuckoo_base and instantiate the table in this
-// translation unit — linking the full library would mix metrics-on and
-// metrics-off template instantiations in one binary (an ODR violation).
+// obs_on / obs_off of a row is the relative cost of metrics recording on
+// that path (acceptance: >= 0.95 for the batch row; CI gates the tN row at
+// >= 0.75 when nproc >= 4). Both binaries link only mccuckoo_base and
+// instantiate the tables in this translation unit — linking the full
+// library would mix metrics-on and metrics-off template instantiations in
+// one binary (an ODR violation).
 //
 //   --slots=N   total slot capacity (default 270000; $MCCUCKOO_BENCH_SLOTS)
 //   --reps=N    timed passes, best-of (default 5)
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "bench/bench_json.h"
+#include "bench/lookup_overhead.h"
 #include "src/common/flags.h"
-#include "src/core/mccuckoo_table.h"
 #include "src/obs/export.h"
-#include "src/obs/timing.h"
 #include "src/workload/keyset.h"
 
 namespace mccuckoo {
@@ -49,7 +53,7 @@ int Run(int argc, char** argv) {
   options.buckets_per_table = (slots + 2) / 3;
   options.maxloop = 500;
   options.seed = 0x5EEDC0DE;
-  McCuckooTable<uint64_t, uint64_t> table(options);
+  OverheadTable table(options);
 
   // Fill to 90% of the actual capacity (spills to the stash are fine; the
   // lookup path is what's under test).
@@ -57,40 +61,30 @@ int Run(int argc, char** argv) {
   std::vector<uint64_t> keys = MakeUniqueKeys(n_keys, options.seed, 0);
   for (uint64_t k : keys) table.Insert(k, k + 1);
   std::shuffle(keys.begin(), keys.end(), std::mt19937_64(42));
+  const OverheadSharded sharded = MakeOverheadSharded(options, keys);
 
-  // One bulk FindBatch per pass (the table pipelines in 64-key tiles
-  // internally) — the bulk-probe shape the batch API exists for.
-  std::vector<uint64_t> out(keys.size());
-  std::vector<uint8_t> found(keys.size());
-  uint64_t hits = 0;
-  double best_sec = 1e100;
-  for (int rep = 0; rep < reps; ++rep) {
-    Stopwatch sw;  // src/obs/timing.h — the shared bench/metrics clock
-    hits = table.FindBatch(keys, out.data(),
-                           reinterpret_cast<bool*>(found.data()));
-    best_sec = std::min(best_sec, sw.ElapsedSeconds());
-  }
-  if (hits != keys.size()) {
-    std::fprintf(stderr, "lookup self-check failed: %" PRIu64 "/%zu hits\n",
-                 hits, keys.size());
-    return 1;
-  }
-  const double rate = static_cast<double>(keys.size()) / best_sec;
-
-  const char* prefix = kMetricsEnabled ? "obs_on." : "obs_off.";
-  std::printf("%-45s %12.3g keys/s  (metrics %s, load %.1f%%, best of %d)\n",
-              (std::string(prefix) + "lookup_hit.McCuckoo.load90").c_str(),
-              rate, kMetricsEnabled ? "on" : "off", table.load_factor() * 100,
-              reps);
-
+  const std::string prefix = kMetricsEnabled ? "obs_on." : "obs_off.";
+  const std::string batch_key = "lookup_hit.McCuckoo.load90";
+  const std::string scalar_key = batch_key + ".scalar";
+  const std::string sharded_key =
+      "lookup_hit.ShardedMcCuckoo.optimistic.load90" + OverheadThreadsSuffix();
   FlatJson entries;
-  entries[std::string(prefix) + "lookup_hit.McCuckoo.load90"] = rate;
+  entries[prefix + batch_key] = TimeBatchFinds(table, keys, reps);
+  entries[prefix + scalar_key] = TimeScalarFinds(table, keys, reps);
+  entries[prefix + sharded_key] = TimeShardedFinds(sharded, keys, reps);
+  for (const std::string& key : {batch_key, scalar_key, sharded_key}) {
+    std::printf("%-62s %12.3g keys/s  (metrics %s, load %.1f%%, best of %d)\n",
+                (prefix + key).c_str(), entries[prefix + key],
+                kMetricsEnabled ? "on" : "off", table.load_factor() * 100,
+                reps);
+  }
+
   if (kMetricsEnabled) {
     // Metrics-on runs also export their headline distribution columns —
     // free evidence the recording actually happened during the timed loop.
     MetricsSnapshot snap = table.SnapshotMetrics();
     for (const auto& [k, v] :
-         MetricsFlatEntries(snap, std::string(prefix) + "McCuckoo.")) {
+         MetricsFlatEntries(snap, prefix + "McCuckoo.")) {
       entries[k] = v;
     }
   }

@@ -291,18 +291,17 @@ class BchtTable {
     uint32_t probes = 0;
     const bool in_main = self->FindInMain(key, cand, out, nullptr, nullptr,
                                           &probes);
-    if constexpr (kMetricsEnabled) {
-      metrics_->RecordLookupOutcome(probes, in_main ? 0 : -1);
-      metrics_->RecordPartitionProbes(0, probes);  // no partitions: slot 0
-    }
-    if (in_main) return true;
-    if (!stash_.empty()) {
+    LookupRecord rec;
+    rec.RecordLookupOutcome(probes, in_main ? 0 : -1);
+    rec.RecordPartitionProbes(0, probes);  // no partitions: slot 0
+    bool hit = in_main;
+    if (!hit && !stash_.empty()) {
       self->ChargeStashProbe();
-      const bool hit = stash_.Find(key, out);
-      metrics_->RecordStashProbe(hit);
-      return hit;
+      hit = stash_.Find(key, out);
+      rec.RecordStashProbe(hit);
     }
-    return false;
+    rec.FlushTo(*metrics_);
+    return hit;
   }
 
   /// Stage 1 of the batched paths: hash `n` keys, compute their global

@@ -360,18 +360,17 @@ class CuckooTable {
     auto* self = const_cast<CuckooTable*>(this);
     uint32_t probes = 0;
     const int64_t idx = self->FindInMain(key, cand, out, &probes);
-    if constexpr (kMetricsEnabled) {
-      metrics_->RecordLookupOutcome(probes, idx >= 0 ? 0 : -1);
-      metrics_->RecordPartitionProbes(0, probes);  // no partitions: slot 0
-    }
-    if (idx >= 0) return true;
-    if (!stash_.empty()) {
+    LookupRecord rec;
+    rec.RecordLookupOutcome(probes, idx >= 0 ? 0 : -1);
+    rec.RecordPartitionProbes(0, probes);  // no partitions: slot 0
+    bool hit = idx >= 0;
+    if (!hit && !stash_.empty()) {
       self->ChargeStashProbe();
-      const bool hit = stash_.Find(key, out);
-      metrics_->RecordStashProbe(hit);
-      return hit;
+      hit = stash_.Find(key, out);
+      rec.RecordStashProbe(hit);
     }
-    return false;
+    rec.FlushTo(*metrics_);
+    return hit;
   }
 
   /// Stage 1 of the batched paths: hash `n` keys, compute their global

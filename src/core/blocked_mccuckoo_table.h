@@ -208,7 +208,10 @@ class BlockedMcCuckooTable {
   /// Looks `key` up (Algorithm 2, Fig 7).
   bool Find(const Key& key, Value* out = nullptr) const {
     ScopedLatencySample lat(latency_.get(), LatencyOp::kFind);
-    return FindImpl(key, ComputeCandidates(key), out, *metrics_);
+    LookupRecord rec;
+    const bool hit = FindImpl(key, ComputeCandidates(key), out, rec);
+    rec.FlushTo(*metrics_);
+    return hit;
   }
 
   bool Contains(const Key& key) const { return Find(key, nullptr); }
@@ -306,7 +309,10 @@ class BlockedMcCuckooTable {
   /// Statistics-free const lookup (see McCuckooTable::FindNoStats): the
   /// ConcurrentMcCuckoo reader path. Performs no mutation.
   bool FindNoStats(const Key& key, Value* out = nullptr) const {
-    return FindNoStatsImpl(key, ComputeCandidates(key), out, *metrics_);
+    LookupRecord rec;
+    const bool hit = FindNoStatsImpl(key, ComputeCandidates(key), out, rec);
+    rec.FlushTo(*metrics_);
+    return hit;
   }
 
   // --- Optimistic (seqlock-validated) read path --------------------------
@@ -324,8 +330,6 @@ class BlockedMcCuckooTable {
     static_assert(
         std::is_trivially_copyable_v<Key> && std::is_trivially_copyable_v<Value>,
         "optimistic reads require trivially copyable Key and Value");
-    // One sample candidate per attempt (see McCuckooTable).
-    ScopedLatencySample lat(latency_.get(), LatencyOp::kFind);
     if (seq_ == nullptr) return OptimisticResult::kContended;
     size_t stripes[kMaxHashes + 1];
     uint32_t versions[kMaxHashes + 1];
@@ -370,17 +374,17 @@ class BlockedMcCuckooTable {
       ++n;
     }
     Value tmp{};
-    LookupTally tally;
+    LookupRecord rec;
     MainOutcome mo;
     {
       SeqlockReadCritical crit;
-      mo = FindNoStatsMain(key, cand, &tmp, tally);
+      mo = FindNoStatsMain(key, cand, &tmp, rec);
     }
     if (!seq_->Validate(stripes, versions, n)) {
       return OptimisticResult::kContended;
     }
-    if (mo == MainOutcome::kCheckStash) return OptimisticResult::kContended;
-    tally.FlushTo(*metrics_);
+    if (mo == MainOutcome::kCheckStash) return OptimisticResult::kNeedsStash;
+    rec.FlushTo(*metrics_);
     if (mo == MainOutcome::kHit) {
       if (out != nullptr) *out = tmp;
       return OptimisticResult::kHit;
@@ -389,23 +393,26 @@ class BlockedMcCuckooTable {
   }
 
   /// All-or-nothing optimistic batch lookup over one tile (see
-  /// McCuckooTable::TryFindBatchOptimistic). Returns the hit count or -1.
-  int64_t TryFindBatchOptimistic(std::span<const Key> keys, Value* out,
-                                 bool* found) const {
+  /// McCuckooTable::TryFindBatchOptimistic).
+  OptimisticResult TryFindBatchOptimistic(std::span<const Key> keys,
+                                          Value* out, bool* found,
+                                          size_t* hits) const {
     ScopedLatencySample lat(latency_.get(), LatencyOp::kFindBatch);
     static_assert(
         std::is_trivially_copyable_v<Key> && std::is_trivially_copyable_v<Value>,
         "optimistic reads require trivially copyable Key and Value");
     assert(keys.size() <= kBatchTile);
-    if (seq_ == nullptr) return -1;
-    if (keys.empty()) return 0;
+    constexpr OptimisticResult kContended = OptimisticResult::kContended;
+    *hits = 0;
+    if (seq_ == nullptr) return kContended;
+    if (keys.empty()) return OptimisticResult::kHit;
     const size_t n_keys = keys.size();
     std::array<size_t, kBatchTile * kMaxHashes + 1> stripes;
     std::array<uint32_t, kBatchTile * kMaxHashes + 1> versions;
     size_t n = 0;
     stripes[n] = seq_->aux_stripe();
     versions[n] = seq_->ReadBegin(stripes[n]);
-    if (SeqlockArray::IsWriting(versions[n])) return -1;
+    if (SeqlockArray::IsWriting(versions[n])) return kContended;
     ++n;
     // Candidates under the recorded aux version, bounds-checked before any
     // probe (see McCuckooTable::TryFindOptimistic).
@@ -417,7 +424,7 @@ class BlockedMcCuckooTable {
       StageCandidates(keys.data(), n_keys, cand.data(), /*for_write=*/false);
       for (size_t i = 0; i < n_keys; ++i) {
         for (uint32_t t = 0; t < d; ++t) {
-          if (cand[i].bucket[t] >= flags_.size()) return -1;
+          if (cand[i].bucket[t] >= flags_.size()) return kContended;
         }
       }
     }
@@ -426,31 +433,34 @@ class BlockedMcCuckooTable {
         const size_t s = seq_->StripeOf(cand[i].bucket[t]);
         stripes[n] = s;
         versions[n] = seq_->ReadBegin(s);
-        if (SeqlockArray::IsWriting(versions[n])) return -1;
+        if (SeqlockArray::IsWriting(versions[n])) return kContended;
         ++n;
       }
     }
     std::array<Value, kBatchTile> tmpv{};
     std::array<bool, kBatchTile> tmpf{};
     LookupTally tally;
-    size_t hits = 0;
+    size_t tile_hits = 0;
+    bool needs_stash = false;
     {
       SeqlockReadCritical crit;
-      for (size_t i = 0; i < n_keys; ++i) {
+      for (size_t i = 0; i < n_keys && !needs_stash; ++i) {
         const MainOutcome mo =
             FindNoStatsMain(keys[i], cand[i], &tmpv[i], tally);
-        if (mo == MainOutcome::kCheckStash) return -1;
+        needs_stash = (mo == MainOutcome::kCheckStash);
         tmpf[i] = (mo == MainOutcome::kHit);
-        hits += tmpf[i] ? 1 : 0;
+        tile_hits += tmpf[i] ? 1 : 0;
       }
     }
-    if (!seq_->Validate(stripes.data(), versions.data(), n)) return -1;
+    if (!seq_->Validate(stripes.data(), versions.data(), n)) return kContended;
+    if (needs_stash) return OptimisticResult::kNeedsStash;
     tally.FlushTo(*metrics_);
     for (size_t i = 0; i < n_keys; ++i) {
       if (found != nullptr) found[i] = tmpf[i];
       if (out != nullptr && tmpf[i]) out[i] = tmpv[i];
     }
-    return static_cast<int64_t>(hits);
+    *hits = tile_hits;
+    return OptimisticResult::kHit;
   }
 
  private:
@@ -459,8 +469,8 @@ class BlockedMcCuckooTable {
 
   /// Main-table part of FindNoStats over precomputed candidates —
   /// everything except the stash probe itself (see McCuckooTable). `sink`
-  /// is the live TableMetrics for scalar calls, a stack-local LookupTally
-  /// for batches and optimistic attempts.
+  /// is a stack LookupRecord for scalar calls, a stack LookupTally for
+  /// batches.
   template <typename MetricsSink>
   MainOutcome FindNoStatsMain(const Key& key, const Candidates& cand,
                               Value* out, MetricsSink& sink) const {
@@ -670,14 +680,19 @@ class BlockedMcCuckooTable {
       *rebuilt.stats_ += *stats_;
       rebuilt.metrics_->MergeFrom(*metrics_);
       // Latency samples and the span timeline describe this table's
-      // lifetime too — carry them like the metrics.
-      rebuilt.latency_->MergeFrom(*latency_);
+      // lifetime too (the scratch rebuild's re-insertion samples fold in
+      // on top). The recorder object itself must survive the move: the
+      // auto-growing Insert that triggered this rehash still holds a
+      // ScopedLatencySample on it.
+      latency_->MergeFrom(*rebuilt.latency_);
+      std::unique_ptr<LatencyRecorder> latency = std::move(latency_);
       rebuilt.spans_ = std::move(spans_);
       // The policy and epoch describe this table's lifetime, not the
       // scratch rebuild's: carry them across the wholesale move.
       const uint64_t epoch = rehash_epoch_ + 1;
       GrowthPolicy saved_growth = std::move(growth_);
       *this = std::move(rebuilt);
+      latency_ = std::move(latency);
       growth_ = std::move(saved_growth);
       rehash_epoch_ = epoch;
       metrics_->RecordRehash(MetricsNowNs() - t0);
@@ -783,6 +798,9 @@ class BlockedMcCuckooTable {
 
   /// Sampled op-latency recorder.
   LatencyRecorder& latency() const { return *latency_; }
+
+  /// The live metric cells (see McCuckooTable::metrics()).
+  TableMetrics& metrics() const { return *metrics_; }
 
   /// Scans the table into an occupancy/counter heatmap at the requested
   /// region resolution. Regions are runs of whole buckets; counter_values
@@ -1048,8 +1066,8 @@ class BlockedMcCuckooTable {
   }
 
   /// Scalar Find body over precomputed candidates — the hot read path.
-  /// `sink` is the live TableMetrics for scalar calls, a stack-local
-  /// LookupTally for batches.
+  /// `sink` is a stack LookupRecord for scalar calls, a stack LookupTally
+  /// for batches.
   ///
   /// Physically this touches one header line per candidate bucket plus the
   /// slot lines of tag-matching occupied slots; the stash-flag words are

@@ -16,8 +16,9 @@
 //    lock-free lookup (src/core/seqlock.h) — zero shared-cache-line
 //    traffic on the common uncontended path. A validation failure (the
 //    writer touched a candidate stripe mid-probe) is retried a few times
-//    with a yield in between, then falls back to the shared lock; the
-//    fallback also covers lookups that need the stash. Writers take the
+//    with a yield in between, then falls back to the shared lock; a
+//    validated probe that needs the stash takes the shared lock at once
+//    (RetryOptimistic, src/core/seqlock.h). Writers take the
 //    same exclusive lock as in kLocked and additionally drive the version
 //    protocol through the table's seqlock hooks, which keep every bucket a
 //    kick chain touches marked in-flight until the chain commits — so
@@ -34,13 +35,13 @@
 #include <mutex>
 #include <shared_mutex>
 #include <span>
-#include <thread>
 #include <utility>
 
 #include "src/core/config.h"
 #include "src/core/lock_stripes.h"
 #include "src/core/seqlock.h"
 #include "src/mem/access_stats.h"
+#include "src/obs/latency_recorder.h"
 #include "src/obs/metrics.h"
 
 namespace mccuckoo {
@@ -51,12 +52,6 @@ class OneWriterManyReaders {
  public:
   using Key = typename Table::KeyType;
   using Value = typename Table::ValueType;
-
-  /// Optimistic attempts per read before falling back to the shared lock.
-  /// Contention means the writer is mid-operation; a yield gives it the
-  /// core (essential when threads are oversubscribed), and after a few
-  /// losses the lock's queueing is cheaper than spinning on.
-  static constexpr int kMaxOptimisticSpins = 3;
 
   explicit OneWriterManyReaders(const TableOptions& options)
       : table_(options), seq_(table_.seqlock_domain()) {
@@ -86,20 +81,25 @@ class OneWriterManyReaders {
 
   /// Reader-side operations. In kLocked mode: shared lock + mutation-free
   /// probe. In kOptimistic mode: bounded lock-free attempts, then the
-  /// shared lock (see file comment).
+  /// shared lock (see file comment). One latency sample candidate per
+  /// read. kOptimistic samples the whole read, retries and fallback
+  /// included: with the seqlock attached a growth Rehash keeps the
+  /// recorder in place. kLocked samples under the shared lock only: there
+  /// a growth Rehash under the writer lock re-seats the recorder pointer.
   bool Find(const Key& key, Value* out = nullptr) const {
     if constexpr (Mode == ReadMode::kOptimistic) {
-      for (int attempt = 0; attempt <= kMaxOptimisticSpins; ++attempt) {
-        const OptimisticResult r = table_.TryFindOptimistic(key, out);
-        if (r == OptimisticResult::kHit) return true;
-        if (r == OptimisticResult::kMiss) return false;
-        if constexpr (kMetricsEnabled) optimistic_retries_.Inc();
-        if (attempt < kMaxOptimisticSpins) std::this_thread::yield();
-      }
-      if constexpr (kMetricsEnabled) optimistic_fallbacks_.Inc();
+      ScopedLatencySample lat(&table_.latency(), LatencyOp::kFind);
+      const OptimisticResult r = RetryOptimistic(
+          table_.metrics(), [&] { return table_.TryFindOptimistic(key, out); });
+      if (r == OptimisticResult::kHit) return true;
+      if (r == OptimisticResult::kMiss) return false;
+      std::shared_lock lock(mutex_);
+      return table_.FindNoStats(key, out);
+    } else {
+      std::shared_lock lock(mutex_);
+      ScopedLatencySample lat(&table_.latency(), LatencyOp::kFind);
+      return table_.FindNoStats(key, out);
     }
-    std::shared_lock lock(mutex_);
-    return table_.FindNoStats(key, out);
   }
   bool Contains(const Key& key) const { return Find(key, nullptr); }
 
@@ -125,20 +125,15 @@ class OneWriterManyReaders {
         const std::span<const Key> tile = keys.subspan(base, n);
         Value* tile_out = out != nullptr ? out + base : nullptr;
         bool* tile_found = found != nullptr ? found + base : nullptr;
-        int64_t r = -1;
-        for (int attempt = 0; attempt <= kMaxOptimisticSpins; ++attempt) {
-          r = table_.TryFindBatchOptimistic(tile, tile_out, tile_found);
-          if (r >= 0) break;
-          if constexpr (kMetricsEnabled) optimistic_retries_.Inc();
-          if (attempt < kMaxOptimisticSpins) std::this_thread::yield();
-        }
-        if (r < 0) {
-          if constexpr (kMetricsEnabled) optimistic_fallbacks_.Inc();
+        size_t tile_hits = 0;
+        if (RetryOptimistic(table_.metrics(), [&] {
+              return table_.TryFindBatchOptimistic(tile, tile_out, tile_found,
+                                                   &tile_hits);
+            }) != OptimisticResult::kHit) {
           std::shared_lock lock(mutex_);
-          r = static_cast<int64_t>(
-              table_.FindBatchNoStats(tile, tile_out, tile_found));
+          tile_hits = table_.FindBatchNoStats(tile, tile_out, tile_found);
         }
-        hits += static_cast<size_t>(r);
+        hits += tile_hits;
       }
       return hits;
     } else {
@@ -169,14 +164,11 @@ class OneWriterManyReaders {
     return table_.stats();
   }
 
-  /// Snapshot of the table's metrics (reader-path recordings included),
-  /// with the wrapper's optimistic-read counters folded in.
+  /// Snapshot of the table's metrics (reader-path recordings and the
+  /// optimistic-read retries and fallbacks included).
   MetricsSnapshot metrics_snapshot() const {
     std::shared_lock lock(mutex_);
-    MetricsSnapshot s = table_.SnapshotMetrics();
-    s.optimistic_retries = optimistic_retries_.Value();
-    s.optimistic_fallbacks = optimistic_fallbacks_.Value();
-    return s;
+    return table_.SnapshotMetrics();
   }
 
   /// Exclusive access to the underlying table (setup/validation only). In
@@ -204,8 +196,6 @@ class OneWriterManyReaders {
   mutable std::shared_mutex mutex_;
   Table table_;  // must precede seq_ (its domain sizes the array)
   SeqlockArray seq_;
-  mutable Counter optimistic_retries_;
-  mutable Counter optimistic_fallbacks_;
 };
 
 /// The optimistic-reader policy, selectable alongside the default lock:
@@ -233,8 +223,6 @@ class ConcurrentMcCuckoo {
  public:
   using Key = typename Table::KeyType;
   using Value = typename Table::ValueType;
-
-  static constexpr int kMaxOptimisticSpins = 3;
 
   explicit ConcurrentMcCuckoo(const TableOptions& options)
       : table_(options),
@@ -275,16 +263,14 @@ class ConcurrentMcCuckoo {
 
   /// Reads: bounded lock-free optimistic attempts, then the striped-lock
   /// fallback — which waits only for writers touching this key's own
-  /// candidate stripes, never for the table at large.
+  /// candidate stripes, never for the table at large. A validated probe
+  /// that needs the stash takes the fallback at once.
   bool Find(const Key& key, Value* out = nullptr) const {
-    for (int attempt = 0; attempt <= kMaxOptimisticSpins; ++attempt) {
-      const OptimisticResult r = table_.TryFindOptimistic(key, out);
-      if (r == OptimisticResult::kHit) return true;
-      if (r == OptimisticResult::kMiss) return false;
-      if constexpr (kMetricsEnabled) optimistic_retries_.Inc();
-      if (attempt < kMaxOptimisticSpins) std::this_thread::yield();
-    }
-    if constexpr (kMetricsEnabled) optimistic_fallbacks_.Inc();
+    ScopedLatencySample lat(&table_.latency(), LatencyOp::kFind);
+    const OptimisticResult r = RetryOptimistic(
+        table_.metrics(), [&] { return table_.TryFindOptimistic(key, out); });
+    if (r == OptimisticResult::kHit) return true;
+    if (r == OptimisticResult::kMiss) return false;
     return table_.FindStriped(key, out);
   }
   bool Contains(const Key& key) const { return Find(key, nullptr); }
@@ -310,25 +296,19 @@ class ConcurrentMcCuckoo {
       const std::span<const Key> tile = keys.subspan(base, n);
       Value* tile_out = out != nullptr ? out + base : nullptr;
       bool* tile_found = found != nullptr ? found + base : nullptr;
-      int64_t r = -1;
-      for (int attempt = 0; attempt <= kMaxOptimisticSpins; ++attempt) {
-        r = table_.TryFindBatchOptimistic(tile, tile_out, tile_found);
-        if (r >= 0) break;
-        if constexpr (kMetricsEnabled) optimistic_retries_.Inc();
-        if (attempt < kMaxOptimisticSpins) std::this_thread::yield();
-      }
-      if (r < 0) {
-        if constexpr (kMetricsEnabled) optimistic_fallbacks_.Inc();
-        size_t tile_hits = 0;
+      size_t tile_hits = 0;
+      if (RetryOptimistic(table_.metrics(), [&] {
+            return table_.TryFindBatchOptimistic(tile, tile_out, tile_found,
+                                                 &tile_hits);
+          }) != OptimisticResult::kHit) {
         for (size_t i = 0; i < n; ++i) {
           Value* o = tile_out != nullptr ? tile_out + i : nullptr;
           const bool hit = table_.FindStriped(tile[i], o);
           if (tile_found != nullptr) tile_found[i] = hit;
           if (hit) ++tile_hits;
         }
-        r = static_cast<int64_t>(tile_hits);
       }
-      hits += static_cast<size_t>(r);
+      hits += tile_hits;
     }
     return hits;
   }
@@ -363,10 +343,7 @@ class ConcurrentMcCuckoo {
   /// writer is mid-operation) and histograms copy tear-free.
   MetricsSnapshot metrics_snapshot() const {
     std::unique_lock drain(drain_mu_);
-    MetricsSnapshot s = table_.SnapshotMetrics();
-    s.optimistic_retries = optimistic_retries_.Value();
-    s.optimistic_fallbacks = optimistic_fallbacks_.Value();
-    return s;
+    return table_.SnapshotMetrics();
   }
 
   /// Exclusive access to the underlying table (maintenance/validation):
@@ -402,8 +379,6 @@ class ConcurrentMcCuckoo {
   Table table_;  // must precede seq_/locks_ (its domain sizes both)
   SeqlockArray seq_;
   LockStripeArray locks_;
-  mutable Counter optimistic_retries_;
-  mutable Counter optimistic_fallbacks_;
 };
 
 /// The multi-writer policy, alongside OneWriterManyReaders /

@@ -215,7 +215,10 @@ class McCuckooTable {
   /// null). Mutates only the access statistics.
   bool Find(const Key& key, Value* out = nullptr) const {
     ScopedLatencySample lat(latency_.get(), LatencyOp::kFind);
-    return FindImpl(key, ComputeCandidates(key), out, *metrics_);
+    LookupRecord rec;
+    const bool hit = FindImpl(key, ComputeCandidates(key), out, rec);
+    rec.FlushTo(*metrics_);
+    return hit;
   }
 
   /// Convenience wrapper over Find.
@@ -333,7 +336,10 @@ class McCuckooTable {
   /// excluded (see src/core/concurrent_mccuckoo.h). Not meant for
   /// experiments: it records no access counts.
   bool FindNoStats(const Key& key, Value* out = nullptr) const {
-    return FindNoStatsImpl(key, ComputeCandidates(key), out, *metrics_);
+    LookupRecord rec;
+    const bool hit = FindNoStatsImpl(key, ComputeCandidates(key), out, rec);
+    rec.FlushTo(*metrics_);
+    return hit;
   }
 
   // --- Optimistic (seqlock-validated) read path --------------------------
@@ -358,17 +364,16 @@ class McCuckooTable {
 
   /// Lock-free lookup attempt: records the versions of the candidate
   /// stripes (plus the aux stripe covering the stash), runs the
-  /// statistics-free probe, and only reports kHit/kMiss if every recorded
-  /// version was even and unchanged afterwards. Any writer overlap — or a
-  /// probe that would need the stash — yields kContended and the caller
-  /// retries or takes the shared lock. Requires an attached SeqlockArray
-  /// and a single concurrent writer (the wrapper's mutex).
+  /// statistics-free probe, and only reports a result if every recorded
+  /// version was even and unchanged afterwards. Any writer overlap yields
+  /// kContended (the caller retries); a validated probe that needs the
+  /// stash yields kNeedsStash (the caller takes its locked path at once).
+  /// Metrics are published only with kHit/kMiss — the locked path records
+  /// the lookup otherwise. Not latency-sampled: the wrapper's Find samples
+  /// the whole read, retries and fallback included. Requires an attached
+  /// SeqlockArray.
   OptimisticResult TryFindOptimistic(const Key& key,
                                      Value* out = nullptr) const {
-    // Each optimistic attempt is one latency sample candidate; a
-    // contended attempt that gets retried or falls back to the locked
-    // Find is timed as its own (short) attempt.
-    ScopedLatencySample lat(latency_.get(), LatencyOp::kFind);
     // Torn reads of the bucket during a racing write are discarded after
     // validation, but reading a partially-updated non-trivial type (e.g.
     // std::string mid-reallocation) would be UB before validation happens.
@@ -421,17 +426,17 @@ class McCuckooTable {
     // Probe into locals: neither the out-parameter nor the shared metrics
     // may observe a result that fails validation.
     Value tmp{};
-    LookupTally tally;
+    LookupRecord rec;
     MainOutcome mo;
     {
       SeqlockReadCritical crit;
-      mo = FindNoStatsMain(key, cand, &tmp, tally);
+      mo = FindNoStatsMain(key, cand, &tmp, rec);
     }
     if (!seq_->Validate(stripes, versions, n)) {
       return OptimisticResult::kContended;
     }
-    if (mo == MainOutcome::kCheckStash) return OptimisticResult::kContended;
-    tally.FlushTo(*metrics_);
+    if (mo == MainOutcome::kCheckStash) return OptimisticResult::kNeedsStash;
+    rec.FlushTo(*metrics_);
     if (mo == MainOutcome::kHit) {
       if (out != nullptr) *out = tmp;
       return OptimisticResult::kHit;
@@ -441,18 +446,22 @@ class McCuckooTable {
 
   /// All-or-nothing optimistic batch lookup over one tile (keys.size() <=
   /// kBatchTile): stages prefetches, records the versions of every touched
-  /// stripe, probes all keys, then validates once. Returns the hit count
-  /// with out/found filled, or -1 if any stripe was (or became) active or
-  /// any key needed the stash — the caller re-runs the tile under the lock.
-  int64_t TryFindBatchOptimistic(std::span<const Key> keys, Value* out,
-                                 bool* found) const {
+  /// stripe, probes all keys, then validates once. Returns kHit with
+  /// out/found filled and the hit count in *hits; kContended if any stripe
+  /// was (or became) active; kNeedsStash if the validated tile has a key
+  /// that needs the stash — the caller re-runs the tile under the lock.
+  OptimisticResult TryFindBatchOptimistic(std::span<const Key> keys,
+                                          Value* out, bool* found,
+                                          size_t* hits) const {
     ScopedLatencySample lat(latency_.get(), LatencyOp::kFindBatch);
     static_assert(
         std::is_trivially_copyable_v<Key> && std::is_trivially_copyable_v<Value>,
         "optimistic reads require trivially copyable Key and Value");
     assert(keys.size() <= kBatchTile);
-    if (seq_ == nullptr) return -1;
-    if (keys.empty()) return 0;
+    constexpr OptimisticResult kContended = OptimisticResult::kContended;
+    *hits = 0;
+    if (seq_ == nullptr) return kContended;
+    if (keys.empty()) return OptimisticResult::kHit;
     const size_t n_keys = keys.size();
     // Versions for every (key, candidate) stripe plus aux, recorded before
     // any data read. Duplicates are validated twice — harmless.
@@ -461,7 +470,7 @@ class McCuckooTable {
     size_t n = 0;
     stripes[n] = seq_->aux_stripe();
     versions[n] = seq_->ReadBegin(stripes[n]);
-    if (SeqlockArray::IsWriting(versions[n])) return -1;
+    if (SeqlockArray::IsWriting(versions[n])) return kContended;
     ++n;
     // Candidates under the recorded aux version, bounds-checked before any
     // probe (see TryFindOptimistic).
@@ -473,7 +482,7 @@ class McCuckooTable {
       StageCandidates(keys.data(), n_keys, cand.data(), /*for_write=*/false);
       for (size_t i = 0; i < n_keys; ++i) {
         for (uint32_t t = 0; t < d; ++t) {
-          if (cand[i].idx[t] >= table_.size()) return -1;
+          if (cand[i].idx[t] >= table_.size()) return kContended;
         }
       }
     }
@@ -482,31 +491,34 @@ class McCuckooTable {
         const size_t s = seq_->StripeOf(cand[i].idx[t]);
         stripes[n] = s;
         versions[n] = seq_->ReadBegin(s);
-        if (SeqlockArray::IsWriting(versions[n])) return -1;
+        if (SeqlockArray::IsWriting(versions[n])) return kContended;
         ++n;
       }
     }
     std::array<Value, kBatchTile> tmpv{};
     std::array<bool, kBatchTile> tmpf{};
     LookupTally tally;
-    size_t hits = 0;
+    size_t tile_hits = 0;
+    bool needs_stash = false;
     {
       SeqlockReadCritical crit;
-      for (size_t i = 0; i < n_keys; ++i) {
+      for (size_t i = 0; i < n_keys && !needs_stash; ++i) {
         const MainOutcome mo =
             FindNoStatsMain(keys[i], cand[i], &tmpv[i], tally);
-        if (mo == MainOutcome::kCheckStash) return -1;
+        needs_stash = (mo == MainOutcome::kCheckStash);
         tmpf[i] = (mo == MainOutcome::kHit);
-        hits += tmpf[i] ? 1 : 0;
+        tile_hits += tmpf[i] ? 1 : 0;
       }
     }
-    if (!seq_->Validate(stripes.data(), versions.data(), n)) return -1;
+    if (!seq_->Validate(stripes.data(), versions.data(), n)) return kContended;
+    if (needs_stash) return OptimisticResult::kNeedsStash;
     tally.FlushTo(*metrics_);
     for (size_t i = 0; i < n_keys; ++i) {
       if (found != nullptr) found[i] = tmpf[i];
       if (out != nullptr && tmpf[i]) out[i] = tmpv[i];
     }
-    return static_cast<int64_t>(hits);
+    *hits = tile_hits;
+    return OptimisticResult::kHit;
   }
 
  private:
@@ -519,8 +531,8 @@ class McCuckooTable {
 
   /// Main-table part of FindNoStats over precomputed candidates: counters,
   /// partitions, bucket probes, and the stash screen — everything except
-  /// the stash probe itself. `sink` is the live TableMetrics for scalar
-  /// calls, a stack-local LookupTally for batches and optimistic attempts.
+  /// the stash probe itself. `sink` is a stack LookupRecord for scalar
+  /// calls, a stack LookupTally for batches.
   template <typename MetricsSink>
   MainOutcome FindNoStatsMain(const Key& key, const Candidates& cand,
                               Value* out, MetricsSink& sink) const {
@@ -734,15 +746,19 @@ class McCuckooTable {
       *rebuilt.stats_ += *stats_;
       rebuilt.metrics_->MergeFrom(*metrics_);
       // Latency samples and the span timeline describe this table's
-      // lifetime too — carry them like the metrics (the scratch rebuild's
-      // re-insertion samples fold in on top).
-      rebuilt.latency_->MergeFrom(*latency_);
+      // lifetime too (the scratch rebuild's re-insertion samples fold in
+      // on top). The recorder object itself must survive the move: the
+      // auto-growing Insert that triggered this rehash still holds a
+      // ScopedLatencySample on it.
+      latency_->MergeFrom(*rebuilt.latency_);
+      std::unique_ptr<LatencyRecorder> latency = std::move(latency_);
       rebuilt.spans_ = std::move(spans_);
       // The policy and epoch describe this table's lifetime, not the
       // scratch rebuild's: carry them across the wholesale move.
       const uint64_t epoch = rehash_epoch_ + 1;
       GrowthPolicy saved_growth = std::move(growth_);
       *this = std::move(rebuilt);
+      latency_ = std::move(latency);
       growth_ = std::move(saved_growth);
       rehash_epoch_ = epoch;
       metrics_->RecordRehash(MetricsNowNs() - t0);
@@ -867,6 +883,10 @@ class McCuckooTable {
   /// Sampled op-latency recorder (configure via
   /// TableOptions::latency_sample_period or set_sample_period).
   LatencyRecorder& latency() const { return *latency_; }
+
+  /// The live metric cells (the concurrent wrappers record their
+  /// optimistic-read retries and fallbacks here).
+  TableMetrics& metrics() const { return *metrics_; }
 
   /// Scans the table into an occupancy/counter heatmap at the requested
   /// region resolution (full-table scan; scrape-time cost only).
@@ -1255,18 +1275,20 @@ class McCuckooTable {
   /// candidates. Does not require the wrapper's drain lock: a rehash
   /// cannot *start* while we hold any stripe (growth drains them all), and
   /// one that committed between candidate computation and acquisition is
-  /// caught by the epoch check and retried.
+  /// caught by the epoch check and retried. Not latency-sampled: the
+  /// wrapper's Find samples the whole read.
   bool FindStriped(const Key& key, Value* out = nullptr) const {
     assert(locks_ != nullptr);
-    ScopedLatencySample lat(latency_.get(), LatencyOp::kFind);
     for (;;) {
       const uint64_t epoch = rehash_epoch_.load();
-      const uint32_t d = opts_.num_hashes;
+      uint32_t d;
       Candidates cand;
       bool in_range = true;
       {
-        // Geometry may be swapping under us until the stripes are held.
+        // Geometry and options may be swapping under us (a committing
+        // rehash rewrites opts_) until the stripes are held.
         SeqlockReadCritical crit;
+        d = opts_.num_hashes;
         cand = ComputeCandidates(key);
         for (uint32_t t = 0; t < d; ++t) {
           in_range = in_range && cand.idx[t] < table_.size();
@@ -1286,21 +1308,21 @@ class McCuckooTable {
       // epoch here proves the candidates match the live geometry.
       if (rehash_epoch_.load() != epoch) continue;
       Value tmp{};
-      LookupTally tally;
+      LookupRecord rec;
       MainOutcome mo;
       {
         // Neighbouring buckets in the same cache lines may still be
         // mutated by writers holding *other* stripes.
         SeqlockReadCritical crit;
-        mo = FindNoStatsMain(key, cand, &tmp, tally);
+        mo = FindNoStatsMain(key, cand, &tmp, rec);
       }
       bool hit = (mo == MainOutcome::kHit);
       if (mo == MainOutcome::kCheckStash) {
         ls.AcquireAux();
         hit = stash_.Find(key, &tmp);
-        tally.RecordStashProbe(hit);
+        rec.RecordStashProbe(hit);
       }
-      tally.FlushTo(*metrics_);
+      rec.FlushTo(*metrics_);
       ls.ReleaseAll();
       if (hit && out != nullptr) *out = tmp;
       return hit;
@@ -1774,8 +1796,8 @@ class McCuckooTable {
 
   /// Scalar Find body over precomputed candidates (shared by Find and the
   /// batched path; candidate computation itself is uncharged either way).
-  /// `sink` receives the lookup metrics: the live TableMetrics for scalar
-  /// calls, a stack-local LookupTally for batches (flushed once per batch).
+  /// `sink` receives the lookup metrics: a stack LookupRecord for scalar
+  /// calls, a stack LookupTally for batches (flushed once per batch).
   template <typename MetricsSink>
   bool FindImpl(const Key& key, const Candidates& cand, Value* out,
                 MetricsSink& sink) const {

@@ -51,6 +51,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #if defined(__SANITIZE_THREAD__)
@@ -86,12 +87,41 @@ void AnnotateIgnoreReadsEnd(const char* file, int line);
 
 namespace mccuckoo {
 
-/// Outcome of one optimistic lookup attempt. kContended covers every case
-/// where the attempt cannot be trusted — a writer was (or became) active in
-/// a touched stripe, the probe needs the stash (whose unordered_map must
-/// not be traversed racily), or no version array is attached — and the
-/// caller retries or falls back to the shared lock.
-enum class OptimisticResult : uint8_t { kHit, kMiss, kContended };
+/// Outcome of one optimistic lookup attempt (for a batch tile, kHit means
+/// every key of the tile was answered). kContended covers every case where
+/// the attempt cannot be trusted — a writer was (or became) active in a
+/// touched stripe, or no version array is attached — and the caller
+/// retries. kNeedsStash is a *validated* probe that missed the buckets but
+/// could not rule the stash out: retrying would conclude the same, and the
+/// stash's unordered_map must not be traversed racily, so the caller goes
+/// straight to its locked path.
+enum class OptimisticResult : uint8_t { kHit, kMiss, kContended, kNeedsStash };
+
+/// Retries after a first contended optimistic attempt before the locked
+/// fallback. Contention means a writer is mid-operation; a yield gives it
+/// the core (essential when threads are oversubscribed), and after a few
+/// losses the lock's queueing is cheaper than spinning on.
+inline constexpr int kMaxOptimisticSpins = 3;
+
+/// The concurrent wrappers' optimistic read loop: runs `attempt` (which
+/// returns an OptimisticResult) until it is not kContended, at most
+/// 1 + kMaxOptimisticSpins times with a yield in between. Each contended
+/// attempt counts one `metrics.RecordOptimisticRetry()`, an exhausted loop
+/// one `RecordOptimisticFallback()`. Returns the last result: kHit / kMiss
+/// answer the read; kNeedsStash and kContended send the caller to its
+/// locked path.
+template <typename Metrics, typename Attempt>
+OptimisticResult RetryOptimistic(Metrics& metrics, Attempt&& attempt) {
+  for (int spin = 0;; ++spin) {
+    const OptimisticResult r = attempt();
+    if (r != OptimisticResult::kContended) return r;
+    metrics.RecordOptimisticRetry();
+    if (spin == kMaxOptimisticSpins) break;
+    std::this_thread::yield();
+  }
+  metrics.RecordOptimisticFallback();
+  return OptimisticResult::kContended;
+}
 
 /// Reader policy of the concurrent wrappers: take the shared lock per read
 /// (the paper's baseline design) or attempt seqlock-validated lock-free

@@ -48,7 +48,6 @@
 #include <optional>
 #include <shared_mutex>
 #include <span>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -59,6 +58,7 @@
 #include "src/core/lock_stripes.h"
 #include "src/core/seqlock.h"
 #include "src/mem/access_stats.h"
+#include "src/obs/latency_recorder.h"
 #include "src/obs/metrics.h"
 
 namespace mccuckoo {
@@ -88,10 +88,6 @@ class ShardedMcCuckoo {
         t.ConcurrentErase(k);
         t.FindStriped(k, nullptr);
       };
-
-  /// Optimistic attempts per read before the shared-lock fallback (see
-  /// OneWriterManyReaders::kMaxOptimisticSpins).
-  static constexpr int kMaxOptimisticSpins = 3;
 
   /// Builds `num_shards` (a power of two, >= 1) shards. `options` describes
   /// the *aggregate* table: each shard gets ~1/num_shards of the buckets,
@@ -198,21 +194,25 @@ class ShardedMcCuckoo {
   }
 
   /// Mutation-free lookup. kLocked: shared lock + FindNoStats. kOptimistic:
-  /// bounded seqlock-validated lock-free attempts against the key's shard,
-  /// then the same shared-lock fallback (readers only ever contend with
-  /// their own shard's writer either way).
+  /// bounded seqlock-validated lock-free attempts against the key's shard
+  /// (RetryOptimistic), then the same shared-lock fallback (readers only
+  /// ever contend with their own shard's writer either way). One latency
+  /// sample candidate per read. With a seqlock attached (kOptimistic or
+  /// kMultiWriter) a growth Rehash keeps the recorder in place, so the
+  /// sample covers the whole read, retries and fallback included. Plain
+  /// kLocked samples under the shared lock only: there a growth Rehash
+  /// under the unique lock re-seats the recorder pointer.
   bool Find(const Key& key, Value* out = nullptr) const {
     const Shard& s = *shards_[ShardOf(key)];
+    if (!SeqlockAttached()) return LockedFind(s, key, out);
+    ScopedLatencySample lat(&s.table.latency(), LatencyOp::kFind);
     if constexpr (kOptimisticCapable) {
       if (read_mode_ == ReadMode::kOptimistic) {
-        for (int attempt = 0; attempt <= kMaxOptimisticSpins; ++attempt) {
-          const OptimisticResult r = s.table.TryFindOptimistic(key, out);
-          if (r == OptimisticResult::kHit) return true;
-          if (r == OptimisticResult::kMiss) return false;
-          if constexpr (kMetricsEnabled) s.optimistic_retries.Inc();
-          if (attempt < kMaxOptimisticSpins) std::this_thread::yield();
-        }
-        if constexpr (kMetricsEnabled) s.optimistic_fallbacks.Inc();
+        const OptimisticResult r = RetryOptimistic(
+            s.table.metrics(),
+            [&] { return s.table.TryFindOptimistic(key, out); });
+        if (r == OptimisticResult::kHit) return true;
+        if (r == OptimisticResult::kMiss) return false;
       }
     }
     if constexpr (kMultiWriterCapable) {
@@ -262,6 +262,8 @@ class ShardedMcCuckoo {
         }
         if constexpr (kMultiWriterCapable) {
           if (!done && write_mode_ == WriteMode::kMultiWriter) {
+            ScopedLatencySample lat(&sh.table.latency(),
+                                    LatencyOp::kFindBatch);
             hits += StripedGroupFind(sh, group, group_vals, group_found);
             done = true;
           }
@@ -406,8 +408,6 @@ class ShardedMcCuckoo {
     for (const auto& s : shards_) {
       std::unique_lock lock(s->mutex);
       merged += s->table.SnapshotMetrics();
-      merged.optimistic_retries += s->optimistic_retries.Value();
-      merged.optimistic_fallbacks += s->optimistic_fallbacks.Value();
     }
     return merged;
   }
@@ -416,10 +416,7 @@ class ShardedMcCuckoo {
   MetricsSnapshot shard_metrics_snapshot(size_t shard) const {
     const Shard& s = *shards_[shard];
     std::unique_lock lock(s.mutex);
-    MetricsSnapshot snap = s.table.SnapshotMetrics();
-    snap.optimistic_retries = s.optimistic_retries.Value();
-    snap.optimistic_fallbacks = s.optimistic_fallbacks.Value();
-    return snap;
+    return s.table.SnapshotMetrics();
   }
 
   /// Exclusive access to one shard's table (setup/validation only). In
@@ -441,14 +438,19 @@ class ShardedMcCuckoo {
       ~AuxGuard() {
         if (seq != nullptr) seq->WriteEnd(seq->aux_stripe());
       }
-    } guard(read_mode_ == ReadMode::kOptimistic ||
-                    write_mode_ == WriteMode::kMultiWriter
-                ? &s.seq
-                : nullptr);
+    } guard(SeqlockAttached() ? &s.seq : nullptr);
     return std::forward<Fn>(fn)(s.table);
   }
 
  private:
+  /// Whether every shard's table has its seqlock attached (kOptimistic
+  /// reads or kMultiWriter writes): its Rehash then commits in place and
+  /// keeps the metric and latency objects where readers found them.
+  bool SeqlockAttached() const {
+    return read_mode_ == ReadMode::kOptimistic ||
+           write_mode_ == WriteMode::kMultiWriter;
+  }
+
   // Padded to its own cache line(s) so one shard's lock traffic does not
   // false-share with its neighbours. Heap-allocated behind unique_ptr, so
   // &seq stays stable for the table's attached pointer.
@@ -468,9 +470,16 @@ class ShardedMcCuckoo {
     // (constructed always — a few cache lines — attached only when used).
     LockStripeArray locks;
     std::mutex growth_mu;
-    mutable Counter optimistic_retries;
-    mutable Counter optimistic_fallbacks;
   };
+
+  /// Find without a seqlock attached: samples under the shared lock (see
+  /// Find). Out of line, so the lock-free modes' Find stays small.
+  [[gnu::noinline]] bool LockedFind(const Shard& s, const Key& key,
+                                    Value* out) const {
+    std::shared_lock lock(s.mutex);
+    ScopedLatencySample lat(&s.table.latency(), LatencyOp::kFind);
+    return s.table.FindNoStats(key, out);
+  }
 
   /// Stash size of one shard under its (at least shared) lock: exact in
   /// single-writer mode, an annotated estimate under concurrent writers.
@@ -521,8 +530,9 @@ class ShardedMcCuckoo {
 
   /// Optimistic path for one shard's batch group: validates per
   /// kBatchTile-sized tile (all-or-nothing), retrying lost tiles and
-  /// re-running persistent losers under that shard's shared lock. Only
-  /// instantiated for optimistic-capable types.
+  /// re-running persistent losers — and tiles that need the stash — under
+  /// that shard's shared lock. Only instantiated for optimistic-capable
+  /// types.
   size_t OptimisticGroupFind(const Shard& sh, std::span<const Key> keys,
                              Value* out, bool* found) const {
     size_t hits = 0;
@@ -531,33 +541,27 @@ class ShardedMcCuckoo {
       const std::span<const Key> tile = keys.subspan(base, n);
       Value* tile_out = out != nullptr ? out + base : nullptr;
       bool* tile_found = found != nullptr ? found + base : nullptr;
-      int64_t r = -1;
-      for (int attempt = 0; attempt <= kMaxOptimisticSpins; ++attempt) {
-        r = sh.table.TryFindBatchOptimistic(tile, tile_out, tile_found);
-        if (r >= 0) break;
-        if constexpr (kMetricsEnabled) sh.optimistic_retries.Inc();
-        if (attempt < kMaxOptimisticSpins) std::this_thread::yield();
-      }
-      if (r < 0) {
-        if constexpr (kMetricsEnabled) sh.optimistic_fallbacks.Inc();
+      size_t tile_hits = 0;
+      if (RetryOptimistic(sh.table.metrics(), [&] {
+            return sh.table.TryFindBatchOptimistic(tile, tile_out, tile_found,
+                                                   &tile_hits);
+          }) != OptimisticResult::kHit) {
         bool striped = false;
         if constexpr (kMultiWriterCapable) {
           // Under multi-writer the shared shard lock no longer excludes
           // writers, so the locked batch fallback would race them (the
           // stash especially); fall back per key through the stripes.
           if (write_mode_ == WriteMode::kMultiWriter) {
-            r = static_cast<int64_t>(
-                StripedGroupFind(sh, tile, tile_out, tile_found));
+            tile_hits = StripedGroupFind(sh, tile, tile_out, tile_found);
             striped = true;
           }
         }
         if (!striped) {
           std::shared_lock lock(sh.mutex);
-          r = static_cast<int64_t>(
-              sh.table.FindBatchNoStats(tile, tile_out, tile_found));
+          tile_hits = sh.table.FindBatchNoStats(tile, tile_out, tile_found);
         }
       }
-      hits += static_cast<size_t>(r);
+      hits += tile_hits;
     }
     return hits;
   }

@@ -6,11 +6,13 @@
 // nanoseconds. Reading the clock twice per operation would dominate a
 // ~100 ns lookup, so the recorder times only 1 in N operations (N a
 // power of two, configurable per table via TableOptions ::
-// latency_sample_period): the un-sampled fast path is a single relaxed
-// fetch_add and a mask test — no clock read at all. Sampling is
-// counter-based and therefore deterministic: operations 0, N, 2N, ... of
-// each kind are the ones timed, so a run of M operations records exactly
-// ceil(M / N) samples (tests rely on this).
+// latency_sample_period): the un-sampled fast path is one relaxed
+// fetch_add on the calling thread's own slot cell (SlotCounters, see
+// metrics.h) and a mask test — no clock read, no shared cache line.
+// Sampling is counter-based and therefore deterministic: each thread slot
+// times operations 0, N, 2N, ... of each kind it sees, so a single thread
+// running M operations records exactly ceil(M / N) samples (tests rely on
+// this), and T threads record the sum of their slots' ceil(M_slot / N).
 //
 // Samples land in per-op Log2Histograms (insert / find / erase /
 // find_batch / insert_batch); FoldInto() merges them into a
@@ -24,7 +26,6 @@
 #define MCCUCKOO_OBS_LATENCY_RECORDER_H_
 
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -64,8 +65,7 @@ class LatencyRecorder {
   /// sampled, 0 otherwise (NowNs() is never 0, so 0 is unambiguous).
   uint64_t MaybeStart(LatencyOp op) {
     if (period_ == 0) return 0;
-    const uint64_t n =
-        ops_[static_cast<size_t>(op)].fetch_add(1, std::memory_order_relaxed);
+    const uint64_t n = ops_.Add(static_cast<size_t>(op));
     if ((n & mask_) != 0) return 0;
     return NowNs();
   }
@@ -76,9 +76,9 @@ class LatencyRecorder {
     hist_[static_cast<size_t>(op)].Record(NowNs() - start_ns);
   }
 
-  /// Operations seen (sampled or not) of one kind.
+  /// Operations seen (sampled or not) of one kind, over all thread slots.
   uint64_t ops_seen(LatencyOp op) const {
-    return ops_[static_cast<size_t>(op)].load(std::memory_order_relaxed);
+    return ops_.Total(static_cast<size_t>(op));
   }
 
   /// One op's sampled-latency histogram.
@@ -100,22 +100,19 @@ class LatencyRecorder {
   /// Accumulates another recorder's samples (Rehash carries the history
   /// across the rebuild, mirroring TableMetrics::MergeFrom).
   void MergeFrom(const LatencyRecorder& o) {
-    for (size_t i = 0; i < kLatencyOps; ++i) {
-      hist_[i].MergeFrom(o.hist_[i]);
-      ops_[i].fetch_add(o.ops_[i].load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-    }
+    for (size_t i = 0; i < kLatencyOps; ++i) hist_[i].MergeFrom(o.hist_[i]);
+    ops_.MergeFrom(o.ops_);
   }
 
   void Reset() {
     for (auto& h : hist_) h.Reset();
-    for (auto& c : ops_) c.store(0, std::memory_order_relaxed);
+    ops_.Reset();
   }
 
  private:
   uint32_t period_ = kDefaultSamplePeriod;
   uint64_t mask_ = kDefaultSamplePeriod - 1;
-  std::array<std::atomic<uint64_t>, kLatencyOps> ops_{};
+  SlotCounters<kLatencyOps> ops_;  // per-op sampling counters, per slot
   std::array<Log2Histogram, kLatencyOps> hist_;
 };
 

@@ -14,11 +14,18 @@
 //     updated with relaxed ordering — increments never tear, totals are
 //     exact, and TSan is clean. Relaxed is enough: cells are independent
 //     monotone counters and snapshots only need per-cell atomicity.
-//  2. Near-zero hot-path cost. A scalar lookup records ONE uncontended
-//     relaxed fetch_add (the fused outcome grid — on x86 every atomic RMW
-//     is a full barrier, so the count of RMWs per operation matters more
-//     than their individual cost); histograms keep no derived counters
-//     that Snapshot() can compute.
+//  2. Per-thread hot-path cost. The cells every operation touches (the
+//     fused lookup-outcome grid, partition probes, stash probes, erases,
+//     writer-lock and optimistic-read tallies) live in SlotCounters: one
+//     cache-line-aligned block per thread slot, so threads in different
+//     slots never write the same line, and Snapshot() folds the blocks. A
+//     scalar lookup accumulates into a stack LookupRecord and flushes it
+//     into its thread's block with one relaxed fetch_add per touched cell
+//     (the outcome cell plus one per probed partition, plus a stash probe);
+//     a batch amortises one LookupTally flush over all its keys. On x86
+//     every atomic RMW is a full barrier, so the count of RMWs per
+//     operation matters as well as where they land. Histograms keep no
+//     derived counters that Snapshot() can compute.
 //  3. Compiled out entirely with -DMCCUCKOO_NO_METRICS: TableMetrics
 //     becomes an empty type whose methods are no-ops, so every recording
 //     call site folds to nothing. MetricsSnapshot and the exporters stay
@@ -34,11 +41,14 @@
 #ifndef MCCUCKOO_OBS_METRICS_H_
 #define MCCUCKOO_OBS_METRICS_H_
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <thread>
 
 #include "src/obs/timing.h"
 
@@ -124,6 +134,24 @@ constexpr uint64_t HistogramBucketUpperBound(size_t i) {
 constexpr size_t HistogramBucketOf(uint64_t v) {
   const size_t b = static_cast<size_t>(std::bit_width(v));  // 0 for v == 0
   return b < kHistogramBuckets ? b : kHistogramBuckets - 1;
+}
+
+/// Partition-array index of counter value `value` (out-of-range values
+/// clamp to the last slot).
+constexpr size_t PartitionIndex(uint32_t value) {
+  return value < kMetricsPartitions ? value : kMetricsPartitions - 1;
+}
+
+/// Cell of the fused lookup-outcome grid for one lookup: row 0 for a miss
+/// (`hit_value` < 0), row 1 + v for a hit in partition v; the column is
+/// the total probe count (saturating).
+constexpr size_t LookupOutcomeCell(uint64_t total_probes, int32_t hit_value) {
+  const size_t row =
+      hit_value < 0 ? 0 : 1 + PartitionIndex(static_cast<uint32_t>(hit_value));
+  const size_t col = total_probes < kLookupOutcomeCols
+                         ? static_cast<size_t>(total_probes)
+                         : kLookupOutcomeCols - 1;
+  return row * kLookupOutcomeCols + col;
 }
 
 // --- Snapshot types (plain data, available in both build modes) -----------
@@ -372,40 +400,130 @@ class Log2Histogram {
   std::atomic<uint64_t> sum_{0};
 };
 
+/// Number of thread slots every SlotCounters holds: the hardware thread
+/// count rounded up to a power of two, clamped to [1, 64]. Fixed for the
+/// process, so blocks of different instances line up slot for slot.
+inline size_t MetricSlotCount() {
+  static const size_t count = std::bit_ceil(std::clamp<size_t>(
+      std::thread::hardware_concurrency(), 1, 64));
+  return count;
+}
+
+/// The calling thread's slot: taken once, round-robin in order of first
+/// use. Threads beyond the slot count share slots, which costs contention,
+/// never exactness (cells are atomic).
+inline size_t ThisThreadMetricSlot() {
+  constexpr size_t kUnassigned = ~size_t{0};
+  thread_local size_t slot = kUnassigned;  // constant-initialized: no guard
+  if (slot == kUnassigned) [[unlikely]] {
+    static std::atomic<size_t> next{0};
+    slot = next.fetch_add(1, std::memory_order_relaxed) &
+           (MetricSlotCount() - 1);
+  }
+  return slot;
+}
+
+/// N monotone counters per thread slot. Each slot's block is 128-byte
+/// aligned — whole cache-line pairs, since the adjacent-line prefetcher
+/// moves lines in pairs — and a thread bumps only its own block, so
+/// concurrent recorders do not bounce lines. Totals fold the blocks at
+/// read time. Cells are relaxed atomics because slots may be shared.
+template <size_t N>
+class SlotCounters {
+ public:
+  using Cells = std::array<std::atomic<uint64_t>, N>;
+
+  SlotCounters() : slots_(std::make_unique<Slot[]>(MetricSlotCount())) {}
+  SlotCounters(const SlotCounters&) = delete;
+  SlotCounters& operator=(const SlotCounters&) = delete;
+
+  /// The calling thread's block (a flush looks its slot up once).
+  Cells& Local() { return slots_[ThisThreadMetricSlot()].cells; }
+
+  /// Adds `n` to cell `i` of the calling thread's block; returns the
+  /// cell's previous value.
+  uint64_t Add(size_t i, uint64_t n = 1) {
+    return Local()[i].fetch_add(n, std::memory_order_relaxed);
+  }
+
+  /// Every cell summed over every slot.
+  std::array<uint64_t, N> Totals() const {
+    std::array<uint64_t, N> t{};
+    for (size_t s = 0; s < MetricSlotCount(); ++s) {
+      for (size_t i = 0; i < N; ++i) {
+        t[i] += slots_[s].cells[i].load(std::memory_order_relaxed);
+      }
+    }
+    return t;
+  }
+
+  /// Cell `i` summed over every slot.
+  uint64_t Total(size_t i) const { return Totals()[i]; }
+
+  /// Accumulates another instance's cells, slot for slot.
+  void MergeFrom(const SlotCounters& o) {
+    for (size_t s = 0; s < MetricSlotCount(); ++s) {
+      for (size_t i = 0; i < N; ++i) {
+        const uint64_t v = o.slots_[s].cells[i].load(std::memory_order_relaxed);
+        if (v != 0) slots_[s].cells[i].fetch_add(v, std::memory_order_relaxed);
+      }
+    }
+  }
+
+  void Reset() {
+    for (size_t s = 0; s < MetricSlotCount(); ++s) {
+      for (auto& c : slots_[s].cells) c.store(0, std::memory_order_relaxed);
+    }
+  }
+
+ private:
+  struct alignas(128) Slot {
+    Cells cells{};
+  };
+  std::unique_ptr<Slot[]> slots_;
+};
+
 // --- The per-table metric set ---------------------------------------------
+
+/// Cells of TableMetrics' per-thread-slot block (SlotCounters index).
+enum SlotCell : size_t {
+  /// The fused lookup-outcome grid, LookupOutcomeCell() order.
+  kCellLookupOutcome = 0,
+  kCellPartitionProbes = kLookupOutcomeRows * kLookupOutcomeCols,
+  kCellStashHits = kCellPartitionProbes + kMetricsPartitions,
+  kCellStashMisses,
+  kCellErases,
+  kCellWriterLockAcquisitions,
+  kCellWriterLockContended,
+  kCellWriterChainHandoffs,
+  kCellOptimisticRetries,
+  kCellOptimisticFallbacks,
+  kSlotCells,
+};
 
 #ifndef MCCUCKOO_NO_METRICS
 
 /// All metrics one table records. Not copyable/movable (atomics) — tables
 /// hold it behind a unique_ptr, exactly like their AccessStats.
 struct TableMetrics {
+  /// The per-operation cells (see SlotCell), one block per thread slot.
+  /// The lookup-outcome grid records probe histogram and partition hit
+  /// with ONE fetch_add; Snapshot() folds it back into lookup_probes /
+  /// partition_hits exactly.
+  SlotCounters<kSlotCells> slots;
   Log2Histogram kick_chain_len;
   std::array<Log2Histogram, kMetricsPolicies> policy_chain_len;
   Log2Histogram insert_ns;
+  /// Shared cells for callers that record a lookup's pieces separately
+  /// (RecordLookup / RecordPartitionHit); the table paths use the grid.
   Log2Histogram lookup_probes;
-  /// Fused (outcome row x probe count) cells: the lookup hot paths record
-  /// probe histogram and partition hit with ONE relaxed fetch_add instead
-  /// of three. On x86 every atomic RMW is a full barrier that stalls the
-  /// next iteration's loads, so this is a measurable share of lookup
-  /// latency. Snapshot() folds the grid back into lookup_probes /
-  /// partition_hits, exactly; the legacy cells stay live for callers that
-  /// record the pieces separately.
-  std::array<std::atomic<uint64_t>, kLookupOutcomeRows * kLookupOutcomeCols>
-      lookup_outcome{};
-  Counter bfs_nodes_expanded;
-  std::array<Counter, kMetricsPartitions> partition_probes;
   std::array<Counter, kMetricsPartitions> partition_hits;
-  Counter erases;
-  Counter stash_hits;
-  Counter stash_misses;
+  Counter bfs_nodes_expanded;
   Log2Histogram rehash_ns;
   Counter growth_rehashes;
   Counter growth_reseeds;
   Counter growth_failures;
   Gauge growth_suppressed;
-  Counter writer_lock_acquisitions;
-  Counter writer_lock_contended;
-  Counter writer_chain_handoffs;
   Log2Histogram writer_lock_wait_ns;
 
   void RecordInsert(uint64_t chain_len, uint64_t ns) {
@@ -428,38 +546,20 @@ struct TableMetrics {
     lookup_probes.Record(total_probes);
   }
 
-  /// Fused hot-path recording: one lookup's probe count plus its outcome
-  /// (`hit_value` < 0 for a miss, else the resolving partition value) in a
-  /// single relaxed fetch_add. Equivalent to RecordLookup(total_probes)
-  /// plus, on a hit, RecordPartitionHit(hit_value).
-  void RecordLookupOutcome(uint64_t total_probes, int32_t hit_value) {
-    const size_t row =
-        hit_value < 0 ? 0
-                      : 1 + (static_cast<size_t>(hit_value) < kMetricsPartitions
-                                 ? static_cast<size_t>(hit_value)
-                                 : kMetricsPartitions - 1);
-    const size_t col = total_probes < kLookupOutcomeCols
-                           ? static_cast<size_t>(total_probes)
-                           : kLookupOutcomeCols - 1;
-    lookup_outcome[row * kLookupOutcomeCols + col].fetch_add(
-        1, std::memory_order_relaxed);
-  }
-
   void RecordPartitionProbes(uint32_t value, uint64_t probes) {
     if (probes == 0) return;
-    partition_probes[value < kMetricsPartitions ? value
-                                                : kMetricsPartitions - 1]
-        .Inc(probes);
+    slots.Add(kCellPartitionProbes + PartitionIndex(value), probes);
   }
 
   void RecordPartitionHit(uint32_t value) {
-    partition_hits[value < kMetricsPartitions ? value : kMetricsPartitions - 1]
-        .Inc();
+    partition_hits[PartitionIndex(value)].Inc();
   }
 
-  void RecordStashProbe(bool hit) { (hit ? stash_hits : stash_misses).Inc(); }
+  void RecordStashProbe(bool hit) {
+    slots.Add(hit ? kCellStashHits : kCellStashMisses);
+  }
 
-  void RecordErase() { erases.Inc(); }
+  void RecordErase() { slots.Add(kCellErases); }
 
   /// Any rehash's wall-clock duration (manual or growth-triggered).
   void RecordRehash(uint64_t ns) { rehash_ns.Record(ns); }
@@ -479,13 +579,21 @@ struct TableMetrics {
   /// carries no per-stripe atomic RMWs.
   void RecordWriterLocks(uint64_t acquired, uint64_t contended,
                          uint64_t chain_handoffs) {
-    if (acquired != 0) writer_lock_acquisitions.Inc(acquired);
-    if (contended != 0) writer_lock_contended.Inc(contended);
-    if (chain_handoffs != 0) writer_chain_handoffs.Inc(chain_handoffs);
+    if (acquired != 0) slots.Add(kCellWriterLockAcquisitions, acquired);
+    if (contended != 0) slots.Add(kCellWriterLockContended, contended);
+    if (chain_handoffs != 0) {
+      slots.Add(kCellWriterChainHandoffs, chain_handoffs);
+    }
   }
 
   /// One contended blocking stripe acquisition took `ns` wall-clock.
   void RecordWriterLockWait(uint64_t ns) { writer_lock_wait_ns.Record(ns); }
+
+  /// An optimistic read attempt failed validation and was discarded.
+  void RecordOptimisticRetry() { slots.Add(kCellOptimisticRetries); }
+
+  /// An optimistic read exhausted its retries and took the locked path.
+  void RecordOptimisticFallback() { slots.Add(kCellOptimisticFallbacks); }
 
   /// Operation counters are derived, not separately maintained, so the
   /// "count" invariants in MetricsSnapshot hold by construction. Gauges
@@ -500,15 +608,15 @@ struct TableMetrics {
     s.lookup_probes = lookup_probes.Snapshot();
     s.bfs_nodes_expanded = bfs_nodes_expanded.Value();
     for (size_t i = 0; i < kMetricsPartitions; ++i) {
-      s.partition_probes[i] = partition_probes[i].Value();
       s.partition_hits[i] = partition_hits[i].Value();
     }
+    const std::array<uint64_t, kSlotCells> c = slots.Totals();
     // Fold the fused grid into the probe histogram and hit counters; the
     // column index IS the probe count, so the fold is exact.
     for (size_t row = 0; row < kLookupOutcomeRows; ++row) {
       for (size_t col = 0; col < kLookupOutcomeCols; ++col) {
-        const uint64_t n = lookup_outcome[row * kLookupOutcomeCols + col].load(
-            std::memory_order_relaxed);
+        const uint64_t n =
+            c[kCellLookupOutcome + row * kLookupOutcomeCols + col];
         if (n == 0) continue;
         s.lookup_probes.bucket[HistogramBucketOf(col)] += n;
         s.lookup_probes.count += n;
@@ -516,19 +624,24 @@ struct TableMetrics {
         if (row > 0) s.partition_hits[row - 1] += n;
       }
     }
+    for (size_t i = 0; i < kMetricsPartitions; ++i) {
+      s.partition_probes[i] = c[kCellPartitionProbes + i];
+    }
     s.inserts = s.kick_chain_len.count;
     s.lookups = s.lookup_probes.count;
-    s.erases = erases.Value();
-    s.stash_hits = stash_hits.Value();
-    s.stash_misses = stash_misses.Value();
+    s.erases = c[kCellErases];
+    s.stash_hits = c[kCellStashHits];
+    s.stash_misses = c[kCellStashMisses];
+    s.optimistic_retries = c[kCellOptimisticRetries];
+    s.optimistic_fallbacks = c[kCellOptimisticFallbacks];
     s.rehash_ns = rehash_ns.Snapshot();
     s.growth_rehashes = growth_rehashes.Value();
     s.growth_reseeds = growth_reseeds.Value();
     s.growth_failures = growth_failures.Value();
     s.growth_suppressed = growth_suppressed.Value();
-    s.writer_lock_acquisitions = writer_lock_acquisitions.Value();
-    s.writer_lock_contended = writer_lock_contended.Value();
-    s.writer_chain_handoffs = writer_chain_handoffs.Value();
+    s.writer_lock_acquisitions = c[kCellWriterLockAcquisitions];
+    s.writer_lock_contended = c[kCellWriterLockContended];
+    s.writer_chain_handoffs = c[kCellWriterChainHandoffs];
     s.writer_lock_wait_ns = writer_lock_wait_ns.Snapshot();
     return s;
   }
@@ -536,25 +649,17 @@ struct TableMetrics {
   /// Accumulates another instance's cells (Rehash carries metrics across
   /// the rebuild, mirroring how AccessStats survive it).
   void MergeFrom(const TableMetrics& o) {
+    slots.MergeFrom(o.slots);
     kick_chain_len.MergeFrom(o.kick_chain_len);
     for (size_t i = 0; i < kMetricsPolicies; ++i) {
       policy_chain_len[i].MergeFrom(o.policy_chain_len[i]);
     }
     insert_ns.MergeFrom(o.insert_ns);
     lookup_probes.MergeFrom(o.lookup_probes);
-    for (size_t i = 0; i < lookup_outcome.size(); ++i) {
-      lookup_outcome[i].fetch_add(
-          o.lookup_outcome[i].load(std::memory_order_relaxed),
-          std::memory_order_relaxed);
-    }
-    bfs_nodes_expanded.Inc(o.bfs_nodes_expanded.Value());
     for (size_t i = 0; i < kMetricsPartitions; ++i) {
-      partition_probes[i].Inc(o.partition_probes[i].Value());
       partition_hits[i].Inc(o.partition_hits[i].Value());
     }
-    erases.Inc(o.erases.Value());
-    stash_hits.Inc(o.stash_hits.Value());
-    stash_misses.Inc(o.stash_misses.Value());
+    bfs_nodes_expanded.Inc(o.bfs_nodes_expanded.Value());
     rehash_ns.MergeFrom(o.rehash_ns);
     growth_rehashes.Inc(o.growth_rehashes.Value());
     growth_reseeds.Inc(o.growth_reseeds.Value());
@@ -562,32 +667,22 @@ struct TableMetrics {
     // Sticky OR: merging a fresh rebuild's metrics must not clear a
     // degraded state this table already reported.
     if (o.growth_suppressed.Value() != 0) growth_suppressed.Set(1);
-    writer_lock_acquisitions.Inc(o.writer_lock_acquisitions.Value());
-    writer_lock_contended.Inc(o.writer_lock_contended.Value());
-    writer_chain_handoffs.Inc(o.writer_chain_handoffs.Value());
     writer_lock_wait_ns.MergeFrom(o.writer_lock_wait_ns);
   }
 
   void Reset() {
+    slots.Reset();
     kick_chain_len.Reset();
     for (auto& h : policy_chain_len) h.Reset();
     insert_ns.Reset();
     lookup_probes.Reset();
-    for (auto& c : lookup_outcome) c.store(0, std::memory_order_relaxed);
-    bfs_nodes_expanded.Reset();
-    for (auto& c : partition_probes) c.Reset();
     for (auto& c : partition_hits) c.Reset();
-    erases.Reset();
-    stash_hits.Reset();
-    stash_misses.Reset();
+    bfs_nodes_expanded.Reset();
     rehash_ns.Reset();
     growth_rehashes.Reset();
     growth_reseeds.Reset();
     growth_failures.Reset();
     growth_suppressed.Set(0);
-    writer_lock_acquisitions.Reset();
-    writer_lock_contended.Reset();
-    writer_chain_handoffs.Reset();
     writer_lock_wait_ns.Reset();
   }
 };
@@ -596,79 +691,90 @@ struct TableMetrics {
 /// src/obs/timing.h; compiled-out builds never read it).
 inline uint64_t MetricsNowNs() { return NowNs(); }
 
+/// Stack record of ONE scalar lookup: its outcome cell, per-partition
+/// probes and stash probe in 24 bytes of plain integers. The scalar paths
+/// record here (an optimistic attempt must not publish before it
+/// validates) and call FlushTo once, which touches exactly the slot cells
+/// a LookupTally holding the same lookup would.
+class LookupRecord {
+ public:
+  void RecordLookupOutcome(uint64_t total_probes, int32_t hit_value) {
+    outcome_ =
+        static_cast<uint16_t>(LookupOutcomeCell(total_probes, hit_value));
+  }
+
+  void RecordPartitionProbes(uint32_t value, uint64_t probes) {
+    partition_probes_[PartitionIndex(value)] += static_cast<uint32_t>(probes);
+  }
+
+  void RecordStashProbe(bool hit) { ++(hit ? stash_hits_ : stash_misses_); }
+
+  /// Publishes the record into the calling thread's slot of `m`.
+  void FlushTo(TableMetrics& m) const {
+    auto& c = m.slots.Local();
+    if (outcome_ != kNoOutcome) {
+      c[kCellLookupOutcome + outcome_].fetch_add(1, std::memory_order_relaxed);
+    }
+    for (size_t i = 0; i < kMetricsPartitions; ++i) {
+      if (partition_probes_[i] != 0) {
+        c[kCellPartitionProbes + i].fetch_add(partition_probes_[i],
+                                              std::memory_order_relaxed);
+      }
+    }
+    if (stash_hits_ != 0) {
+      c[kCellStashHits].fetch_add(stash_hits_, std::memory_order_relaxed);
+    }
+    if (stash_misses_ != 0) {
+      c[kCellStashMisses].fetch_add(stash_misses_, std::memory_order_relaxed);
+    }
+  }
+
+ private:
+  static constexpr uint16_t kNoOutcome = 0xFFFF;
+  uint16_t outcome_ = kNoOutcome;
+  uint8_t stash_hits_ = 0;
+  uint8_t stash_misses_ = 0;
+  std::array<uint32_t, kMetricsPartitions> partition_probes_{};
+};
+
 /// Stack-local accumulator for the lookup-side metrics of one batch. The
 /// batched paths record every lookup here in plain integers and call
 /// FlushTo once, so a B-key batch costs O(touched cells) atomic RMWs
 /// instead of O(B) — this is what keeps metrics-on FindBatch throughput
 /// within a few percent of the compiled-out build. Aggregate totals are
 /// exactly what per-lookup recording would have produced; only the flush
-/// granularity differs. Exposes the same recording interface as
-/// TableMetrics so the per-key lookup code is generic over its sink.
+/// granularity differs. Same recording interface as LookupRecord, so the
+/// per-key lookup code is generic over its sink.
 class LookupTally {
  public:
-  void RecordLookup(uint64_t total_probes) {
-    ++lookup_bucket_[HistogramBucketOf(total_probes)];
-    lookup_sum_ += total_probes;
-  }
-
-  /// Plain-integer mirror of TableMetrics::RecordLookupOutcome; flushed
-  /// into the shared grid cell-for-cell.
   void RecordLookupOutcome(uint64_t total_probes, int32_t hit_value) {
-    const size_t row =
-        hit_value < 0 ? 0
-                      : 1 + (static_cast<size_t>(hit_value) < kMetricsPartitions
-                                 ? static_cast<size_t>(hit_value)
-                                 : kMetricsPartitions - 1);
-    const size_t col = total_probes < kLookupOutcomeCols
-                           ? static_cast<size_t>(total_probes)
-                           : kLookupOutcomeCols - 1;
-    ++lookup_outcome_[row * kLookupOutcomeCols + col];
+    ++cells_[kCellLookupOutcome + LookupOutcomeCell(total_probes, hit_value)];
   }
 
   void RecordPartitionProbes(uint32_t value, uint64_t probes) {
-    if (probes == 0) return;
-    partition_probes_[value < kMetricsPartitions ? value
-                                                 : kMetricsPartitions - 1] +=
-        probes;
+    cells_[kCellPartitionProbes + PartitionIndex(value)] += probes;
   }
 
-  void RecordPartitionHit(uint32_t value) {
-    ++partition_hits_[value < kMetricsPartitions ? value
-                                                 : kMetricsPartitions - 1];
+  void RecordStashProbe(bool hit) {
+    ++cells_[hit ? kCellStashHits : kCellStashMisses];
   }
 
-  void RecordStashProbe(bool hit) { ++(hit ? stash_hits_ : stash_misses_); }
-
-  /// Publishes the tallies into `m` (one fetch_add per non-zero cell) and
-  /// resets this tally for reuse.
+  /// Publishes the tallies into the calling thread's slot of `m` (one
+  /// fetch_add per non-zero cell) and resets this tally for reuse.
   void FlushTo(TableMetrics& m) {
-    m.lookup_probes.MergeCounts(lookup_bucket_, lookup_sum_);
-    for (size_t i = 0; i < lookup_outcome_.size(); ++i) {
-      if (lookup_outcome_[i] != 0) {
-        m.lookup_outcome[i].fetch_add(lookup_outcome_[i],
-                                      std::memory_order_relaxed);
+    auto& c = m.slots.Local();
+    for (size_t i = 0; i < cells_.size(); ++i) {
+      if (cells_[i] != 0) {
+        c[i].fetch_add(cells_[i], std::memory_order_relaxed);
       }
     }
-    for (size_t i = 0; i < kMetricsPartitions; ++i) {
-      if (partition_probes_[i] != 0) {
-        m.partition_probes[i].Inc(partition_probes_[i]);
-      }
-      if (partition_hits_[i] != 0) m.partition_hits[i].Inc(partition_hits_[i]);
-    }
-    if (stash_hits_ != 0) m.stash_hits.Inc(stash_hits_);
-    if (stash_misses_ != 0) m.stash_misses.Inc(stash_misses_);
-    *this = LookupTally{};
+    cells_ = {};
   }
 
  private:
-  std::array<uint64_t, kHistogramBuckets> lookup_bucket_{};
-  std::array<uint64_t, kLookupOutcomeRows * kLookupOutcomeCols>
-      lookup_outcome_{};
-  uint64_t lookup_sum_ = 0;
-  std::array<uint64_t, kMetricsPartitions> partition_probes_{};
-  std::array<uint64_t, kMetricsPartitions> partition_hits_{};
-  uint64_t stash_hits_ = 0;
-  uint64_t stash_misses_ = 0;
+  // The lookup-side prefix of the slot block (grid, partition probes,
+  // stash hits and misses), index-aligned with SlotCell.
+  std::array<uint64_t, kCellStashMisses + 1> cells_{};
 };
 
 #else  // MCCUCKOO_NO_METRICS
@@ -680,7 +786,6 @@ struct TableMetrics {
   void RecordPolicyChain(uint32_t, uint64_t) {}
   void RecordBfsNodes(uint64_t) {}
   void RecordLookup(uint64_t) {}
-  void RecordLookupOutcome(uint64_t, int32_t) {}
   void RecordPartitionProbes(uint32_t, uint64_t) {}
   void RecordPartitionHit(uint32_t) {}
   void RecordStashProbe(bool) {}
@@ -691,6 +796,8 @@ struct TableMetrics {
   void SetGrowthSuppressed(bool) {}
   void RecordWriterLocks(uint64_t, uint64_t, uint64_t) {}
   void RecordWriterLockWait(uint64_t) {}
+  void RecordOptimisticRetry() {}
+  void RecordOptimisticFallback() {}
   MetricsSnapshot Snapshot() const { return {}; }
   void MergeFrom(const TableMetrics&) {}
   void Reset() {}
@@ -699,15 +806,14 @@ struct TableMetrics {
 /// Compiled-out builds never read the clock.
 inline uint64_t MetricsNowNs() { return 0; }
 
-/// No-op batch tally matching the enabled interface.
-struct LookupTally {
-  void RecordLookup(uint64_t) {}
+/// No-op scalar record and batch tally matching the enabled interface.
+struct LookupRecord {
   void RecordLookupOutcome(uint64_t, int32_t) {}
   void RecordPartitionProbes(uint32_t, uint64_t) {}
-  void RecordPartitionHit(uint32_t) {}
   void RecordStashProbe(bool) {}
-  void FlushTo(TableMetrics&) {}
+  void FlushTo(TableMetrics&) const {}
 };
+struct LookupTally : LookupRecord {};
 
 #endif  // MCCUCKOO_NO_METRICS
 
