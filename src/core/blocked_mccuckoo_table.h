@@ -307,7 +307,7 @@ class BlockedMcCuckooTable {
   }
 
   /// Statistics-free const lookup (see McCuckooTable::FindNoStats): the
-  /// ConcurrentMcCuckoo reader path. Performs no mutation.
+  /// ShardedMcCuckoo kLocked reader path. Performs no mutation.
   bool FindNoStats(const Key& key, Value* out = nullptr) const {
     LookupRecord rec;
     const bool hit = FindNoStatsImpl(key, ComputeCandidates(key), out, rec);

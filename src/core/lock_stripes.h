@@ -1,6 +1,6 @@
 // Striped writer locks for true multi-writer concurrency (ROADMAP item 2).
 //
-// The one-writer-many-readers wrapper serializes every mutation behind a
+// WriteMode::kSingleWriter serializes every mutation of a shard behind a
 // single mutex, capping write throughput at one core per table no matter
 // how many threads the cache-server scenario throws at it. Following the
 // fine-grained kick-out locking line of work (arXiv 1605.05236, PAPERS.md),
@@ -51,7 +51,7 @@
 
 namespace mccuckoo {
 
-/// Writer policy of the concurrent wrappers: serialize all mutations behind
+/// Writer policy of ShardedMcCuckoo: serialize a shard's mutations behind
 /// one mutex (the classic design) or run writers concurrently under striped
 /// bucket locks.
 enum class WriteMode : uint8_t { kSingleWriter, kMultiWriter };

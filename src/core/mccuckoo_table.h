@@ -76,7 +76,8 @@ static_assert(kMaxHashes + 1 <= kMetricsPartitions,
 
 /// Multi-copy cuckoo hash table. Key must be equality-comparable and
 /// hashable by Hasher; Key and Value must be copyable. Not thread-safe (see
-/// ConcurrentMcCuckoo for the one-writer-many-readers wrapper).
+/// ShardedMcCuckoo, src/core/sharded_mccuckoo.h, for the concurrent
+/// front-end).
 template <typename Key, typename Value, typename Hasher = BobHasher,
           typename Family = HashFamily<Key, Hasher>>
   requires SeedableHasher<Hasher, Key>
@@ -331,9 +332,9 @@ class McCuckooTable {
 
   /// Statistics-free const lookup: same candidate/partition/stash-screen
   /// logic as Find but through the uncharged accessors, so it performs no
-  /// mutation whatsoever. This is the read path ConcurrentMcCuckoo uses —
-  /// many readers may call it under a shared lock while a writer is
-  /// excluded (see src/core/concurrent_mccuckoo.h). Not meant for
+  /// mutation whatsoever. This is ShardedMcCuckoo's kLocked read path —
+  /// many readers may call it under a shard's shared lock while a writer
+  /// is excluded (see src/core/sharded_mccuckoo.h). Not meant for
   /// experiments: it records no access counts.
   bool FindNoStats(const Key& key, Value* out = nullptr) const {
     LookupRecord rec;
@@ -1106,10 +1107,11 @@ class McCuckooTable {
   //    history (those are writer-exclusion structures); TableMetrics and
   //    the latency recorder are atomic and recorded normally.
   //
-  // Callers (the ConcurrentMcCuckoo wrapper) hold a shared "drain" lock for
-  // every operation; growth escalates to the exclusive side plus a full
-  // LockStripeDrain, so in-flight operations never see a geometry change —
-  // which is also why mid-operation bucket indices stay in bounds.
+  // Callers (ShardedMcCuckoo in WriteMode::kMultiWriter) hold the shard
+  // mutex shared for every operation; growth escalates to the exclusive
+  // side plus a full LockStripeDrain, so in-flight operations never see a
+  // geometry change — which is also why mid-operation bucket indices stay
+  // in bounds.
 
   /// Multi-writer insert of a key assumed not to be present (same contract
   /// as Insert: duplicates corrupt the copy invariants). `growth_mu`
@@ -1272,7 +1274,7 @@ class McCuckooTable {
   /// Striped-lock reader fallback for the multi-writer mode: takes the
   /// key's candidate stripes (blocking, ordered) instead of any table-wide
   /// lock, so a fallback read waits only for writers touching its own
-  /// candidates. Does not require the wrapper's drain lock: a rehash
+  /// candidates. Does not require the shard mutex: a rehash
   /// cannot *start* while we hold any stripe (growth drains them all), and
   /// one that committed between candidate computation and acquisition is
   /// caught by the epoch check and retried. Not latency-sampled: the
@@ -1332,7 +1334,8 @@ class McCuckooTable {
   /// Growth-policy bookkeeping for one concurrent insert, serialized by
   /// the wrapper's growth mutex (GrowthPolicy state is not thread-safe).
   /// Returns true when the policy wants a rehash/reseed; the caller then
-  /// escalates to the exclusive drain and calls MaybeGrowExclusive().
+  /// escalates to the exclusive shard mutex and calls
+  /// MaybeGrowExclusive().
   bool ConcurrentGrowthCheck(std::mutex& growth_mu, bool overflowed,
                              uint32_t chain_len, uint32_t bfs_nodes,
                              uint32_t bfs_budget) {
@@ -1350,9 +1353,9 @@ class McCuckooTable {
   }
 
   /// Runs the growth engine under full exclusivity: the caller holds the
-  /// exclusive drain plus every lock stripe (LockStripeDrain). Re-decides
-  /// from scratch, so if a competing writer already grew the table this is
-  /// a no-op.
+  /// shard mutex exclusively plus every lock stripe (LockStripeDrain).
+  /// Re-decides from scratch, so if a competing writer already grew the
+  /// table this is a no-op.
   void MaybeGrowExclusive() { MaybeGrow(); }
 
   /// Racy item-count estimates for growth decisions and wrapper

@@ -1,13 +1,14 @@
 // Seqlock-striped version array for optimistic lock-free reads (§III.H).
 //
-// The OneWriterManyReaders wrapper's shared_mutex makes every reader pay at
-// least two atomic RMWs on one shared cache line — at high reader counts
-// the lock word ping-pongs and caps throughput well below what the
-// mutation-free FindNoStats path could sustain. The observation behind the
-// optimistic protocol (Kuszmaul's kick-out eviction analysis, PAPERS.md) is
-// that a kick chain is the *only* window in which a live key is absent from
-// every bucket, so a reader that can detect "a writer touched one of my
-// candidate buckets while I probed" may otherwise run with zero locks.
+// A kLocked reader of ShardedMcCuckoo takes its shard's shared_mutex, so
+// every read pays at least two atomic RMWs on one shared cache line — at
+// high reader counts the lock word ping-pongs and caps throughput well
+// below what the mutation-free FindNoStats path could sustain. The
+// observation behind the optimistic protocol (Kuszmaul's kick-out eviction
+// analysis, PAPERS.md) is that a kick chain is the *only* window in which
+// a live key is absent from every bucket, so a reader that can detect "a
+// writer touched one of my candidate buckets while I probed" may otherwise
+// run with zero locks.
 //
 // This header provides the detection machinery:
 //
@@ -73,7 +74,7 @@ void AnnotateIgnoreReadsEnd(const char* file, int line);
 // because ThreadSanitizer's happens-before model does not track them. The
 // racy loads those fences order are already excluded from race detection
 // (SeqlockReadCritical), and the writer side is single-threaded under the
-// wrapper's writer mutex, so the untracked fences cannot produce false
+// shard's writer mutex, so the untracked fences cannot produce false
 // negatives here — suppress the diagnostic rather than weaken the protocol.
 #if defined(MCCUCKOO_THREAD_SANITIZER) && defined(__GNUC__) && \
     !defined(__clang__)
@@ -103,7 +104,7 @@ enum class OptimisticResult : uint8_t { kHit, kMiss, kContended, kNeedsStash };
 /// losses the lock's queueing is cheaper than spinning on.
 inline constexpr int kMaxOptimisticSpins = 3;
 
-/// The concurrent wrappers' optimistic read loop: runs `attempt` (which
+/// ShardedMcCuckoo's optimistic read loop: runs `attempt` (which
 /// returns an OptimisticResult) until it is not kContended, at most
 /// 1 + kMaxOptimisticSpins times with a yield in between. Each contended
 /// attempt counts one `metrics.RecordOptimisticRetry()`, an exhausted loop
@@ -123,14 +124,14 @@ OptimisticResult RetryOptimistic(Metrics& metrics, Attempt&& attempt) {
   return OptimisticResult::kContended;
 }
 
-/// Reader policy of the concurrent wrappers: take the shared lock per read
+/// Reader policy of ShardedMcCuckoo: take the shard's shared lock per read
 /// (the paper's baseline design) or attempt seqlock-validated lock-free
 /// reads first.
 enum class ReadMode : uint8_t { kLocked, kOptimistic };
 
 /// Striped seqlock version array. One writer per *stripe* at a time — either
-/// the table-wide writer mutex of the single-writer wrappers, or ownership of
-/// the congruent LockStripeArray stripe in the multi-writer wrappers — with
+/// the shard's exclusive writer mutex under WriteMode::kSingleWriter, or
+/// ownership of the congruent LockStripeArray stripe under kMultiWriter — with
 /// any number of concurrent readers. The non-RMW WriteBegin/WriteEnd bumps
 /// stay valid under multiple writers precisely because the writer-lock
 /// stripes partition buckets identically to these version stripes.

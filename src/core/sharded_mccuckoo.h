@@ -1,11 +1,25 @@
-// Sharded concurrent front-end over the multi-copy tables.
+// The concurrent front-end over the multi-copy tables (paper §III.H).
 //
-// OneWriterManyReaders (paper §III.H) serializes all writers behind one
-// readers-writer lock, so write throughput cannot scale. This wrapper
-// hash-partitions the key space over N independent shards — each a complete
-// table (own hash family, counters, stash) behind its own shared_mutex — so
-// writers to different shards proceed in parallel and readers only contend
-// with writers of their own shard.
+// Standard cuckoo hashing is sequential: mid kick chain an evicted item is
+// absent from every bucket, so a concurrent reader could miss a live key.
+// The paper's answer is one writer and many readers per table. This
+// wrapper hash-partitions the key space over N independent shards — each a
+// complete table (own hash family, counters, stash) behind its own
+// shared_mutex — so writers to different shards proceed in parallel and
+// readers only contend with writers of their own shard. num_shards = 1 is
+// the unsharded table, i.e. the paper's design.
+//
+// Two orthogonal modes pick the synchronisation inside a shard:
+//  * ReadMode::kLocked (default): readers share the shard lock and use the
+//    table's mutation-free FindNoStats. kOptimistic: readers first try a
+//    seqlock-validated lock-free probe (src/core/seqlock.h), retried a few
+//    times on a lost race and then falling back to the locked path; a
+//    validated probe that needs the stash falls back at once.
+//  * WriteMode::kSingleWriter (default): a write takes the shard lock
+//    exclusively. kMultiWriter: see below.
+// kLocked and kSingleWriter are the only paths for non-trivially-copyable
+// types and for tables without a concurrent write path, so the wrapper
+// demotes requests it cannot honour.
 //
 // Routing uses the top bits of a dedicated routing hash. That hash MUST be
 // decorrelated from the bucket hashes: the tables reduce hashes to bucket
@@ -33,8 +47,7 @@
 // escalates to the exclusive side plus a full stripe drain, and — since the
 // shared shard lock no longer excludes writers — readers fall back to the
 // table's FindStriped (candidate-stripe locks + rehash-epoch revalidation)
-// instead of the shared-lock FindNoStats. Demoted to kSingleWriter when the
-// table type has no concurrent write path.
+// instead of the shared-lock FindNoStats.
 
 #ifndef MCCUCKOO_CORE_SHARDED_MCCUCKOO_H_
 #define MCCUCKOO_CORE_SHARDED_MCCUCKOO_H_
@@ -464,7 +477,9 @@ class ShardedMcCuckoo {
       // and locks (the attach hook only exists on capable table types).
     }
     mutable std::shared_mutex mutex;
-    Table table;
+    // Every op RMWs `mutex`; a line of its own keeps the table's read-mostly
+    // header (options, storage pointers) from bouncing along with it.
+    alignas(64) Table table;
     SeqlockArray seq;
     // Striped writer locks + growth serialization for kMultiWriter shards
     // (constructed always — a few cache lines — attached only when used).

@@ -12,11 +12,11 @@
 // cycling.
 //
 // Threading: events are recorded only from table write paths, which every
-// front-end already serializes per table (ConcurrentMcCuckoo's writer
-// lock, one shard's exclusive lock). Events() snapshots are meant for
-// post-mortem inspection under the same exclusion (WithExclusive /
-// WithExclusiveShard); the recorder itself is intentionally unsynchronized
-// so the hot path stays a couple of plain stores.
+// front-end already serializes per table (a ShardedMcCuckoo shard's
+// exclusive lock). Events() snapshots are meant for post-mortem inspection
+// under the same exclusion (WithExclusiveShard); the recorder itself is
+// intentionally unsynchronized so the hot path stays a couple of plain
+// stores.
 //
 // With -DMCCUCKOO_NO_METRICS the ring is not allocated and Record() is a
 // no-op, so the whole facility (including its ~50 KB of ring memory per

@@ -1,5 +1,7 @@
 #include "src/server/item_store.h"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstring>
 
@@ -8,16 +10,6 @@
 
 namespace mccuckoo {
 namespace server {
-
-namespace {
-
-size_t RoundUpPow2(size_t n) {
-  size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-}  // namespace
 
 ItemStore::Item* ItemStore::Item::New(uint64_t hash, std::string_view key,
                                       std::string_view value,
@@ -55,10 +47,8 @@ ItemStore::ItemStore(const ItemStoreOptions& options)
     t.growth.max_buckets_per_table = options.max_buckets_per_table;
   }
   table_ = std::make_unique<Sharded>(
-      t, RoundUpPow2(std::max<size_t>(1, options.shards)),
-      ReadMode::kOptimistic,
-      options.multi_writer ? WriteMode::kMultiWriter
-                           : WriteMode::kSingleWriter);
+      t, std::bit_ceil(std::clamp<size_t>(options.shards, 1, kMaxShards)),
+      ReadMode::kOptimistic, WriteMode::kMultiWriter);
 }
 
 ItemStore::~ItemStore() {

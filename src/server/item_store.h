@@ -23,8 +23,8 @@
 //    allocated until the guard drops. MGET rides the table's FindBatch —
 //    the same batched prefetch pipeline the paper's lookups use.
 //  * SET/DEL/TOUCH serialize per stripe (hash-partitioned, so unrelated
-//    keys rarely contend) and run the table write under WriteMode::
-//    kMultiWriter, so writers to different stripes truly overlap.
+//    keys rarely contend). The table always runs WriteMode::kMultiWriter,
+//    so writers to different stripes truly overlap, even within a shard.
 //  * TTL expiry is lazy-on-read (an expired item is removed by the reader
 //    that trips over it, after re-verification under the stripe lock) plus
 //    a periodic SweepExpired() walk. The clock is injected, so TTL tests
@@ -62,14 +62,15 @@ namespace server {
 /// Injected time source, nanoseconds on an arbitrary monotone base.
 using StoreClock = std::function<uint64_t()>;
 
+/// Upper bound on ItemStoreOptions::shards.
+inline constexpr size_t kMaxShards = 65536;
+
 struct ItemStoreOptions {
   /// Aggregate slot target across all shards (rounded up to table
   /// geometry). With growth enabled this is just the starting size.
   uint64_t initial_slots = 1 << 16;
-  /// Shard count (power of two).
+  /// Shard count, rounded up to a power of two and capped at kMaxShards.
   size_t shards = 8;
-  /// Run the shards' writers concurrently (WriteMode::kMultiWriter).
-  bool multi_writer = true;
   uint64_t seed = 0x5EEDCAFE;
   /// Payload budget (key + value bytes); 0 = unlimited. Exceeding it
   /// FIFO-evicts until back under.

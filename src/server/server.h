@@ -7,7 +7,7 @@
 // worker's thread (its Connection object, buffers, and the worker's
 // fd->state map are thread-confined — no locks). The ItemStore underneath
 // is the concurrent piece: GET/MGET are epoch-guarded lock-free reads,
-// SET/DEL/TOUCH serialize per key stripe, and the table runs
+// SET/DEL/TOUCH serialize per key stripe, and the table always runs
 // WriteMode::kMultiWriter, so workers truly overlap.
 //
 // One port serves both planes: a first byte of 0x95 speaks the binary

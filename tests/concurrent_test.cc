@@ -1,21 +1,23 @@
-// Tests of the one-writer-many-readers wrapper (§III.H): readers running
-// concurrently with a writer never miss a committed key, never see a torn
-// value, and never observe phantom keys — for both table layouts.
-
-#include "src/core/concurrent_mccuckoo.h"
+// Tests of the concurrent front-end (§III.H): readers running concurrently
+// with writers never miss a committed key, never see a torn value, and never
+// observe phantom keys — for both table layouts and every read/write mode.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
+#include <ostream>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "src/core/blocked_mccuckoo_table.h"
 #include "src/core/mccuckoo_table.h"
 #include "src/core/sharded_mccuckoo.h"
+#include "src/obs/metrics.h"
 #include "src/workload/keyset.h"
 
 namespace mccuckoo {
@@ -82,27 +84,79 @@ TEST(FindNoStatsTest, MutatesNothing) {
   EXPECT_EQ(t.stats().onchip_reads, 0u);
 }
 
+// --- DESIGN.md §6 invariant 9: readers never miss a live key -------------
+//
+// One property over every front-end configuration: writers insert disjoint
+// key streams (scalar Insert and InsertBatch stretches) while readers assert
+// that every committed key is found — scalar and batched — with its exact
+// value, and that never-inserted keys stay absent. Quiesced, the table must
+// hold exactly the inserted keys and every shard must pass its structural
+// audit. Run under TSan (-DMCCUCKOO_TSAN=ON) this is also the data-race
+// check for each read/write mode pair.
+
+struct FrontEndConfig {
+  bool blocked;  // BlockedMcCuckooTable (3-slot buckets) vs McCuckooTable
+  ReadMode read;
+  WriteMode write;
+  size_t shards;
+};
+
+std::string ConfigName(const FrontEndConfig& c) {
+  return std::string(c.blocked ? "Blocked" : "McCuckoo") +
+         (c.read == ReadMode::kLocked ? "_Locked" : "_Optimistic") +
+         (c.write == WriteMode::kSingleWriter ? "_SingleWriter"
+                                              : "_MultiWriter") +
+         "_Shards" + std::to_string(c.shards);
+}
+
+// Prints the config by name (the default byte dump would include padding).
+void PrintTo(const FrontEndConfig& c, std::ostream* os) {
+  *os << ConfigName(c);
+}
+
 template <typename Table>
-void RunOneWriterManyReaders(uint32_t slots_per_bucket) {
-  OneWriterManyReaders<Table> table(SmallOptions(slots_per_bucket));
-  const auto keys = MakeUniqueKeys(4000, 5, 0);
+void RunReadersNeverMissLiveKeys(const FrontEndConfig& c) {
+  ShardedMcCuckoo<Table> table(SmallOptions(c.blocked ? 3 : 1), c.shards,
+                               c.read, c.write);
+  ASSERT_EQ(table.read_mode(), c.read);
+  ASSERT_EQ(table.write_mode(), c.write);
+
+  constexpr int kWriters = 2;
+  constexpr int kReaders = 3;
+  constexpr size_t kPerWriter = 2000;
+  constexpr size_t kB = 40;  // spans several batch tiles
+  std::vector<std::vector<uint64_t>> streams;
+  for (int w = 0; w < kWriters; ++w) {
+    streams.push_back(MakeUniqueKeys(kPerWriter, 5, static_cast<uint64_t>(w)));
+  }
   const auto missing = MakeUniqueKeys(4000, 5, 7);
 
-  std::atomic<size_t> committed{0};
+  std::array<std::atomic<size_t>, kWriters> committed{};
   std::atomic<bool> stop{false};
   std::atomic<int> reader_errors{0};
 
   std::vector<std::thread> readers;
-  for (int r = 0; r < 3; ++r) {
+  for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&, r] {
+      uint64_t out[kB];
+      bool found[kB];
       uint64_t i = static_cast<uint64_t>(r) * 7919;
       while (!stop.load(std::memory_order_acquire)) {
-        const size_t limit = committed.load(std::memory_order_acquire);
+        const int w = static_cast<int>(i % kWriters);
+        const size_t limit = committed[w].load(std::memory_order_acquire);
         if (limit > 0) {
-          const uint64_t k = keys[i % limit];
+          const uint64_t k = streams[w][i % limit];
           uint64_t v = 0;
-          if (!table.Find(k, &v) || v != k + 42) {
-            reader_errors.fetch_add(1);
+          if (!table.Find(k, &v) || v != k + 42) reader_errors.fetch_add(1);
+        }
+        if (limit >= kB && i % 8 == 0) {
+          const size_t base = i % (limit - kB + 1);
+          table.FindBatch(std::span<const uint64_t>(&streams[w][base], kB),
+                          out, found);
+          for (size_t j = 0; j < kB; ++j) {
+            if (!found[j] || out[j] != streams[w][base + j] + 42) {
+              reader_errors.fetch_add(1);
+            }
           }
         }
         if (table.Contains(missing[i % missing.size()])) {
@@ -113,32 +167,106 @@ void RunOneWriterManyReaders(uint32_t slots_per_bucket) {
     });
   }
 
-  for (size_t i = 0; i < keys.size(); ++i) {
-    ASSERT_NE(table.Insert(keys[i], keys[i] + 42), InsertResult::kFailed);
-    committed.store(i + 1, std::memory_order_release);
+  std::vector<std::thread> writers;
+  std::atomic<int> writer_errors{0};
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      const auto& keys = streams[w];
+      std::vector<uint64_t> values(keys.size());
+      for (size_t i = 0; i < keys.size(); ++i) values[i] = keys[i] + 42;
+      std::vector<InsertResult> results(32);
+      size_t pos = 0;
+      while (pos < keys.size()) {
+        const size_t n = std::min<size_t>(32, keys.size() - pos);
+        if ((pos / 32) % 2 == 0) {
+          table.InsertBatch(std::span<const uint64_t>(&keys[pos], n),
+                            std::span<const uint64_t>(&values[pos], n),
+                            results.data());
+          for (size_t j = 0; j < n; ++j) {
+            if (results[j] == InsertResult::kFailed) writer_errors.fetch_add(1);
+          }
+          pos += n;
+        } else {
+          for (const size_t end = pos + n; pos < end; ++pos) {
+            if (table.Insert(keys[pos], values[pos]) == InsertResult::kFailed) {
+              writer_errors.fetch_add(1);
+            }
+          }
+        }
+        committed[w].store(pos, std::memory_order_release);
+      }
+    });
   }
+  for (auto& th : writers) th.join();
   // Let readers chew on the fully-built table briefly.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
   stop.store(true, std::memory_order_release);
   for (auto& th : readers) th.join();
 
+  EXPECT_EQ(writer_errors.load(), 0);
   EXPECT_EQ(reader_errors.load(), 0);
-  EXPECT_EQ(table.size() + table.stash_size(), keys.size());
-  EXPECT_TRUE(table.WithExclusive(
-      [](Table& t) { return t.ValidateInvariants(); }).ok());
+  EXPECT_EQ(table.size() + table.stash_size(), kWriters * kPerWriter);
+  for (const auto& keys : streams) {
+    for (uint64_t k : keys) {
+      uint64_t v = 0;
+      ASSERT_TRUE(table.Find(k, &v)) << k;
+      ASSERT_EQ(v, k + 42);
+    }
+  }
+  for (size_t s = 0; s < table.num_shards(); ++s) {
+    EXPECT_TRUE(table.WithExclusiveShard(s, [](Table& t) {
+      return t.ValidateInvariants();
+    }).ok()) << "shard " << s;
+    EXPECT_TRUE(table.WithExclusiveShard(s, [](Table& t) {
+      return t.CheckInvariants();
+    }).ok()) << "shard " << s;
+  }
+  if (kMetricsEnabled) {
+    const MetricsSnapshot m = table.metrics_snapshot();
+    EXPECT_EQ(m.inserts, kWriters * kPerWriter);
+    if (c.write == WriteMode::kMultiWriter) {
+      EXPECT_GT(m.writer_lock_acquisitions, 0u);
+    }
+  }
 }
 
-TEST(OneWriterManyReadersTest, SingleSlotUnderConcurrency) {
-  RunOneWriterManyReaders<McCuckooTable<uint64_t, uint64_t>>(1);
+class Invariant9Test : public testing::TestWithParam<FrontEndConfig> {};
+
+TEST_P(Invariant9Test, ReadersNeverMissLiveKeys) {
+  const FrontEndConfig& c = GetParam();
+  if (c.blocked) {
+    RunReadersNeverMissLiveKeys<BlockedMcCuckooTable<uint64_t, uint64_t>>(c);
+  } else {
+    RunReadersNeverMissLiveKeys<McCuckooTable<uint64_t, uint64_t>>(c);
+  }
 }
 
-TEST(OneWriterManyReadersTest, BlockedUnderConcurrency) {
-  RunOneWriterManyReaders<BlockedMcCuckooTable<uint64_t, uint64_t>>(3);
+std::vector<FrontEndConfig> AllFrontEnds() {
+  std::vector<FrontEndConfig> out;
+  for (const size_t shards : {1, 4}) {
+    for (const WriteMode write :
+         {WriteMode::kSingleWriter, WriteMode::kMultiWriter}) {
+      for (const ReadMode read : {ReadMode::kLocked, ReadMode::kOptimistic}) {
+        out.push_back({false, read, write, shards});
+      }
+    }
+  }
+  // The blocked table has no concurrent write path: single writer only.
+  for (const ReadMode read : {ReadMode::kLocked, ReadMode::kOptimistic}) {
+    out.push_back({true, read, WriteMode::kSingleWriter, 1});
+  }
+  return out;
 }
 
-TEST(OneWriterManyReadersTest, ConcurrentErasesStayConsistent) {
-  OneWriterManyReaders<McCuckooTable<uint64_t, uint64_t>> table(
-      SmallOptions(1));
+INSTANTIATE_TEST_SUITE_P(
+    FrontEnds, Invariant9Test, testing::ValuesIn(AllFrontEnds()),
+    [](const testing::TestParamInfo<FrontEndConfig>& info) {
+      return ConfigName(info.param);
+    });
+
+TEST(LockedReadersTest, ConcurrentErasesStayConsistent) {
+  ShardedMcCuckoo<McCuckooTable<uint64_t, uint64_t>> table(SmallOptions(1),
+                                                           1);
   const auto keys = MakeUniqueKeys(3000, 6, 0);
   for (uint64_t k : keys) table.Insert(k, k);
 
@@ -173,9 +301,9 @@ TEST(OneWriterManyReadersTest, ConcurrentErasesStayConsistent) {
   EXPECT_EQ(table.size(), keys.size() / 2);
 }
 
-TEST(OneWriterManyReadersTest, BatchOpsUnderConcurrency) {
-  OneWriterManyReaders<McCuckooTable<uint64_t, uint64_t>> table(
-      SmallOptions(1));
+TEST(LockedReadersTest, BatchOpsUnderConcurrency) {
+  ShardedMcCuckoo<McCuckooTable<uint64_t, uint64_t>> table(SmallOptions(1),
+                                                           1);
   const auto keys = MakeUniqueKeys(4000, 9, 0);
   std::vector<uint64_t> values(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) values[i] = keys[i] + 42;
@@ -334,9 +462,9 @@ TEST(ShardedStressTest, OneShardStillSafe) {
   RunShardedStress<McCuckooTable<uint64_t, uint64_t>>(1, 1);
 }
 
-TEST(OneWriterManyReadersTest, StatsSnapshotAndSizes) {
-  OneWriterManyReaders<McCuckooTable<uint64_t, uint64_t>> table(
-      SmallOptions(1));
+TEST(LockedReadersTest, StatsSnapshotAndSizes) {
+  ShardedMcCuckoo<McCuckooTable<uint64_t, uint64_t>> table(SmallOptions(1),
+                                                           1);
   table.Insert(1, 10);
   table.InsertOrAssign(1, 11);
   uint64_t v = 0;

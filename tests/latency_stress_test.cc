@@ -12,9 +12,9 @@
 #include <thread>
 #include <vector>
 
-#include "src/core/concurrent_mccuckoo.h"
 #include "src/core/config.h"
 #include "src/core/mccuckoo_table.h"
+#include "src/core/sharded_mccuckoo.h"
 #include "src/obs/latency_recorder.h"
 #include "src/obs/metrics.h"
 #include "src/workload/keyset.h"
@@ -70,13 +70,14 @@ TEST(LatencyStressTest, ConcurrentRecordAndSnapshot) {
             total_ops / r.sample_period());
 }
 
-TEST(LatencyStressTest, OptimisticReadersSampleWhileWriterUpdates) {
+TEST(LatencyStressTest, OptimisticReadsSampleWhileWriterUpdates) {
   if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   TableOptions o;
   o.num_hashes = 3;
   o.buckets_per_table = 5'000;
   o.latency_sample_period = 1;
-  OptimisticReaders<McCuckooTable<uint64_t, uint64_t>> table(o);
+  ShardedMcCuckoo<McCuckooTable<uint64_t, uint64_t>> table(
+      o, 1, ReadMode::kOptimistic);
 
   const auto keys = MakeUniqueKeys(6'000, 7, 0);
   std::vector<uint64_t> values(keys.begin(), keys.end());

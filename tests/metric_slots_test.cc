@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "src/core/blocked_mccuckoo_table.h"
-#include "src/core/concurrent_mccuckoo.h"
 #include "src/core/lock_stripes.h"
 #include "src/core/mccuckoo_table.h"
 #include "src/core/seqlock.h"
@@ -84,10 +83,13 @@ TEST(MetricSlotsTest, SlotCountersFoldSharedSlotsExactly) {
 // kContended, and be retried kMaxOptimisticSpins more times (yielding)
 // before the fallback: 4 retries, 1 fallback and 4-5 Find samples for one
 // read. The validated stash case now goes straight to the locked path.
-template <typename Front, typename OpsSeen>
-void ExpectStashReadsGoStraightToLockedPath(Front& front,
-                                            const std::vector<uint64_t>& keys,
-                                            OpsSeen ops_seen) {
+void ExpectStashReadsGoStraightToLockedPath(Sharded& front,
+                                            const std::vector<uint64_t>& keys) {
+  const auto ops_seen = [&front](uint64_t k) {
+    return front.WithExclusiveShard(front.ShardOf(k), [](Table& t) {
+      return t.latency().ops_seen(LatencyOp::kFind);
+    });
+  };
   size_t stash_reads = 0;
   for (uint64_t k : keys) {
     const MetricsSnapshot before = front.metrics_snapshot();
@@ -105,45 +107,21 @@ void ExpectStashReadsGoStraightToLockedPath(Front& front,
   EXPECT_GT(stash_reads, 0u) << "no key landed in the stash";
 }
 
-template <typename Front>
-void FillForStash(Front& front, const std::vector<uint64_t>& keys) {
-  for (uint64_t k : keys) {
-    ASSERT_NE(front.Insert(k, ValueOf(k)), InsertResult::kFailed);
-  }
-  ASSERT_GT(front.stash_size(), 0u);
-}
-
 TEST(MetricSlotsTest, StashReadIsNotRetriedAsContended) {
   if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
-  const auto keys = MakeUniqueKeys(kStashKeys, 11, 0);
-  const auto table_ops = [](auto& front) {
-    return [&front](uint64_t) {
-      return front.WithExclusive(
-          [](Table& t) { return t.latency().ops_seen(LatencyOp::kFind); });
-    };
-  };
-  {
-    OptimisticReaders<Table> front(StashOptions());
-    FillForStash(front, keys);
-    ExpectStashReadsGoStraightToLockedPath(front, keys, table_ops(front));
-  }
-  {
-    MultiWriter<Table> front(StashOptions());
-    FillForStash(front, keys);
-    ExpectStashReadsGoStraightToLockedPath(front, keys, table_ops(front));
-  }
-  for (const WriteMode mode :
-       {WriteMode::kSingleWriter, WriteMode::kMultiWriter}) {
-    TableOptions o = StashOptions();
-    o.buckets_per_table *= 2;  // the same per-shard pressure on two shards
-    Sharded front(o, /*num_shards=*/2, ReadMode::kOptimistic, mode);
-    FillForStash(front, MakeUniqueKeys(2 * kStashKeys, 11, 0));
-    ExpectStashReadsGoStraightToLockedPath(
-        front, MakeUniqueKeys(2 * kStashKeys, 11, 0), [&front](uint64_t k) {
-          return front.WithExclusiveShard(front.ShardOf(k), [](Table& t) {
-            return t.latency().ops_seen(LatencyOp::kFind);
-          });
-        });
+  for (const size_t shards : {1, 2}) {
+    for (const WriteMode mode :
+         {WriteMode::kSingleWriter, WriteMode::kMultiWriter}) {
+      TableOptions o = StashOptions();
+      o.buckets_per_table *= shards;  // the same per-shard pressure
+      Sharded front(o, shards, ReadMode::kOptimistic, mode);
+      const auto keys = MakeUniqueKeys(shards * kStashKeys, 11, 0);
+      for (uint64_t k : keys) {
+        ASSERT_NE(front.Insert(k, ValueOf(k)), InsertResult::kFailed);
+      }
+      ASSERT_GT(front.stash_size(), 0u);
+      ExpectStashReadsGoStraightToLockedPath(front, keys);
+    }
   }
 }
 
@@ -476,10 +454,10 @@ TEST(MetricSlotsTest, LockedShardedFindRacesGrowthSafely) {
 }
 
 TEST(MetricSlotsTest, LockedOneWriterFindRacesGrowthSafely) {
-  OneWriterManyReaders<Table> front(SmallGrowingOptions());
+  Sharded front(SmallGrowingOptions(), /*num_shards=*/1);
   RaceLockedFindsAgainstGrowth(front, [&front] {
-    return front.WithExclusive(
-        [](Table& t) { return t.latency().ops_seen(LatencyOp::kFind); });
+    return front.WithExclusiveShard(
+        0, [](Table& t) { return t.latency().ops_seen(LatencyOp::kFind); });
   });
 }
 

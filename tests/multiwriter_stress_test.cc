@@ -1,6 +1,6 @@
 // Stress and differential tests of the true multi-writer path: concurrent
-// writers under striped bucket locks (ConcurrentMcCuckoo and the sharded
-// wrapper's kMultiWriter mode), with optimistic readers and the striped
+// writers under striped bucket locks (ShardedMcCuckoo's kMultiWriter mode,
+// at one shard and at several), with optimistic readers and the striped
 // Find fallback running against them. Run under TSan (-DMCCUCKOO_TSAN=ON)
 // this is the data-race check for the claim-then-move protocol; without it
 // the tests still pin down counter exactness and linearizable membership.
@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <span>
 #include <thread>
@@ -17,7 +16,6 @@
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/core/concurrent_mccuckoo.h"
 #include "src/core/mccuckoo_table.h"
 #include "src/core/sharded_mccuckoo.h"
 #include "src/workload/keyset.h"
@@ -35,87 +33,16 @@ TableOptions StressOptions() {
   return o;
 }
 
-// Writer threads insert disjoint key ranges while optimistic readers (with
-// the striped fallback behind them) assert that every key a writer has
-// committed is found with its exact value, and that alien keys stay absent.
-TEST(MultiWriterStressTest, DisjointInsertersWithReaders) {
-  MultiWriter<Table> table(StressOptions());
-  constexpr int kWriters = 4;
-  constexpr size_t kPerWriter = 1000;
-  std::vector<std::vector<uint64_t>> keys;
-  for (int w = 0; w < kWriters; ++w) {
-    keys.push_back(MakeUniqueKeys(kPerWriter, 5, static_cast<uint64_t>(w)));
-  }
-  const auto missing = MakeUniqueKeys(1000, 5, 99);
-
-  std::array<std::atomic<size_t>, kWriters> committed{};
-  std::atomic<bool> stop{false};
-  std::atomic<int> reader_errors{0};
-
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 2; ++r) {
-    readers.emplace_back([&, r] {
-      uint64_t i = static_cast<uint64_t>(r) * 7919;
-      while (!stop.load(std::memory_order_acquire)) {
-        const int w = static_cast<int>(i % kWriters);
-        const size_t limit = committed[w].load(std::memory_order_acquire);
-        if (limit > 0) {
-          const uint64_t k = keys[w][i % limit];
-          uint64_t v = 0;
-          if (!table.Find(k, &v) || v != k + 42) reader_errors.fetch_add(1);
-        }
-        if (table.Contains(missing[i % missing.size()])) {
-          reader_errors.fetch_add(1);
-        }
-        ++i;
-      }
-    });
-  }
-
-  std::vector<std::thread> writers;
-  std::atomic<int> writer_errors{0};
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&, w] {
-      for (size_t i = 0; i < kPerWriter; ++i) {
-        if (table.Insert(keys[w][i], keys[w][i] + 42) ==
-            InsertResult::kFailed) {
-          writer_errors.fetch_add(1);
-        }
-        committed[w].store(i + 1, std::memory_order_release);
-      }
-    });
-  }
-  for (auto& th : writers) th.join();
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  stop.store(true, std::memory_order_release);
-  for (auto& th : readers) th.join();
-
-  EXPECT_EQ(writer_errors.load(), 0);
-  EXPECT_EQ(reader_errors.load(), 0);
-  // Counter discipline: the atomic size tally is exact after quiescence.
-  EXPECT_EQ(table.size() + table.stash_size(), kWriters * kPerWriter);
-  for (int w = 0; w < kWriters; ++w) {
-    for (uint64_t k : keys[w]) {
-      uint64_t v = 0;
-      ASSERT_TRUE(table.Find(k, &v)) << k;
-      EXPECT_EQ(v, k + 42);
-    }
-  }
-  EXPECT_TRUE(
-      table.WithExclusive([](Table& t) { return t.CheckInvariants(); }).ok());
-#ifndef MCCUCKOO_NO_METRICS
-  const MetricsSnapshot s = table.metrics_snapshot();
-  EXPECT_EQ(s.inserts, kWriters * kPerWriter);
-  EXPECT_GT(s.writer_lock_acquisitions, 0u);
-#endif
-}
+// Disjoint inserters racing optimistic readers (invariant 9) are covered by
+// Invariant9Test in concurrent_test.cc.
 
 // Mixed insert/erase churn from several writers over disjoint partitions,
 // then a differential oracle: each writer's op log replayed serially into a
 // std::unordered_map must agree with the table exactly (per-partition
 // determinism follows from partition disjointness).
 TEST(MultiWriterStressTest, MixedChurnMatchesSerializedOracle) {
-  MultiWriter<Table> table(StressOptions());
+  ShardedMcCuckoo<Table> table(StressOptions(), 1, ReadMode::kOptimistic,
+                               WriteMode::kMultiWriter);
   constexpr int kWriters = 4;
   constexpr int kOpsPerWriter = 8000;
 
@@ -185,7 +112,8 @@ TEST(MultiWriterStressTest, MixedChurnMatchesSerializedOracle) {
     EXPECT_EQ(got, v) << k;
   }
   EXPECT_TRUE(
-      table.WithExclusive([](Table& t) { return t.CheckInvariants(); }).ok());
+      table.WithExclusiveShard(0, [](Table& t) { return t.CheckInvariants(); })
+          .ok());
 }
 
 // Concurrent writers driving the table through forced growth: a small
@@ -197,7 +125,8 @@ TEST(MultiWriterStressTest, GrowthUnderConcurrentWriters) {
   o.maxloop = 64;
   o.growth.enabled = true;
   o.growth.stash_soft_limit = 4;
-  MultiWriter<Table> table(o);
+  ShardedMcCuckoo<Table> table(o, 1, ReadMode::kOptimistic,
+                               WriteMode::kMultiWriter);
 
   constexpr int kWriters = 4;
   constexpr size_t kPerWriter = 800;  // ~8x the initial capacity in total
@@ -228,20 +157,22 @@ TEST(MultiWriterStressTest, GrowthUnderConcurrentWriters) {
     }
   }
   EXPECT_TRUE(
-      table.WithExclusive([](Table& t) { return t.CheckInvariants(); }).ok());
+      table.WithExclusiveShard(0, [](Table& t) { return t.CheckInvariants(); })
+          .ok());
 #ifndef MCCUCKOO_NO_METRICS
   // 8x overload of a 128-bucket table cannot fit without growing.
   EXPECT_GT(table.metrics_snapshot().growth_rehashes, 0u);
 #endif
 }
 
-// Single-threaded differential trace: the multi-writer wrapper must be
-// operation-for-operation identical to the single-writer wrapper when only
-// one thread drives it (also the ≤10%-overhead configuration the bench
-// gates — here we pin semantics, the bench pins speed).
+// Single-threaded differential trace: the multi-writer mode must be
+// operation-for-operation identical to the single-writer mode when only
+// one thread drives it (bench/write_scaling measures the speed of the same
+// pair; here we pin semantics).
 TEST(MultiWriterStressTest, SingleThreadMatchesSingleWriterWrapper) {
-  OneWriterManyReaders<Table> single(StressOptions());
-  MultiWriter<Table> multi(StressOptions());
+  ShardedMcCuckoo<Table> single(StressOptions(), 1);
+  ShardedMcCuckoo<Table> multi(StressOptions(), 1, ReadMode::kOptimistic,
+                               WriteMode::kMultiWriter);
 
   const auto keys = MakeUniqueKeys(3000, 11, 0);
   Xoshiro256 rng(123);
@@ -273,7 +204,8 @@ TEST(MultiWriterStressTest, SingleThreadMatchesSingleWriterWrapper) {
   EXPECT_EQ(single.size(), multi.size());
   EXPECT_EQ(single.stash_size(), multi.stash_size());
   EXPECT_TRUE(
-      multi.WithExclusive([](Table& t) { return t.CheckInvariants(); }).ok());
+      multi.WithExclusiveShard(0, [](Table& t) { return t.CheckInvariants(); })
+          .ok());
 }
 
 // The sharded wrapper's kMultiWriter mode: all writers hammer all shards

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -18,7 +17,6 @@
 #include <vector>
 
 #include "src/core/blocked_mccuckoo_table.h"
-#include "src/core/concurrent_mccuckoo.h"
 #include "src/core/mccuckoo_table.h"
 #include "src/core/sharded_mccuckoo.h"
 #include "src/common/rng.h"
@@ -36,62 +34,13 @@ TableOptions SmallOptions(uint32_t slots_per_bucket) {
   return o;
 }
 
-// One writer inserting with kick chains in flight; N optimistic readers
-// asserting every committed key is found with its exact value and that
-// missing keys stay missing.
-template <typename Table>
-void RunOptimisticInsertStress(uint32_t slots_per_bucket) {
-  OptimisticReaders<Table> table(SmallOptions(slots_per_bucket));
-  const auto keys = MakeUniqueKeys(4000, 5, 0);
-  const auto missing = MakeUniqueKeys(4000, 5, 7);
-
-  std::atomic<size_t> committed{0};
-  std::atomic<bool> stop{false};
-  std::atomic<int> reader_errors{0};
-
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 3; ++r) {
-    readers.emplace_back([&, r] {
-      uint64_t i = static_cast<uint64_t>(r) * 7919;
-      while (!stop.load(std::memory_order_acquire)) {
-        const size_t limit = committed.load(std::memory_order_acquire);
-        if (limit > 0) {
-          const uint64_t k = keys[i % limit];
-          uint64_t v = 0;
-          if (!table.Find(k, &v) || v != k + 42) reader_errors.fetch_add(1);
-        }
-        if (table.Contains(missing[i % missing.size()])) {
-          reader_errors.fetch_add(1);
-        }
-        ++i;
-      }
-    });
-  }
-
-  for (size_t i = 0; i < keys.size(); ++i) {
-    ASSERT_NE(table.Insert(keys[i], keys[i] + 42), InsertResult::kFailed);
-    committed.store(i + 1, std::memory_order_release);
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  stop.store(true, std::memory_order_release);
-  for (auto& th : readers) th.join();
-
-  EXPECT_EQ(reader_errors.load(), 0);
-  EXPECT_EQ(table.size() + table.stash_size(), keys.size());
-  EXPECT_TRUE(table.WithExclusive(
-      [](Table& t) { return t.ValidateInvariants(); }).ok());
-}
-
-TEST(OptimisticStressTest, SingleSlotInsertStress) {
-  RunOptimisticInsertStress<McCuckooTable<uint64_t, uint64_t>>(1);
-}
-
-TEST(OptimisticStressTest, BlockedInsertStress) {
-  RunOptimisticInsertStress<BlockedMcCuckooTable<uint64_t, uint64_t>>(3);
-}
+// Invariant 9 (readers never miss a live key) under optimistic readers is
+// covered, for every read/write mode pair and shard count, by
+// Invariant9Test in concurrent_test.cc.
 
 TEST(OptimisticStressTest, ErasesStayConsistent) {
-  OptimisticReaders<McCuckooTable<uint64_t, uint64_t>> table(SmallOptions(1));
+  ShardedMcCuckoo<McCuckooTable<uint64_t, uint64_t>> table(
+      SmallOptions(1), 1, ReadMode::kOptimistic);
   const auto keys = MakeUniqueKeys(3000, 6, 0);
   for (uint64_t k : keys) table.Insert(k, k);
 
@@ -123,7 +72,8 @@ TEST(OptimisticStressTest, ErasesStayConsistent) {
 }
 
 TEST(OptimisticStressTest, BatchReadsUnderConcurrency) {
-  OptimisticReaders<McCuckooTable<uint64_t, uint64_t>> table(SmallOptions(1));
+  ShardedMcCuckoo<McCuckooTable<uint64_t, uint64_t>> table(
+      SmallOptions(1), 1, ReadMode::kOptimistic);
   const auto keys = MakeUniqueKeys(4000, 9, 0);
   std::vector<uint64_t> values(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) values[i] = keys[i] + 42;
@@ -174,7 +124,8 @@ TEST(OptimisticStressTest, StashedKeysVisibleViaFallback) {
   TableOptions o = SmallOptions(1);
   o.buckets_per_table = 64;
   o.maxloop = 8;
-  OptimisticReaders<McCuckooTable<uint64_t, uint64_t>> table(o);
+  ShardedMcCuckoo<McCuckooTable<uint64_t, uint64_t>> table(
+      o, 1, ReadMode::kOptimistic);
   const auto keys = MakeUniqueKeys(192, 3, 0);
   for (uint64_t k : keys) table.Insert(k, k + 1);
   ASSERT_GT(table.stash_size(), 0u);
@@ -190,8 +141,9 @@ TEST(OptimisticStressTest, StashedKeysVisibleViaFallback) {
 // for every scalar and batched lookup.
 template <typename Table>
 void RunDifferentialTrace(uint32_t slots_per_bucket) {
-  OneWriterManyReaders<Table> locked(SmallOptions(slots_per_bucket));
-  OptimisticReaders<Table> optimistic(SmallOptions(slots_per_bucket));
+  ShardedMcCuckoo<Table> locked(SmallOptions(slots_per_bucket), 1);
+  ShardedMcCuckoo<Table> optimistic(SmallOptions(slots_per_bucket), 1,
+                                    ReadMode::kOptimistic);
 
   const auto keys = MakeUniqueKeys(3000, 11, 0);
   Xoshiro256 rng(123);
@@ -242,7 +194,7 @@ void RunDifferentialTrace(uint32_t slots_per_bucket) {
       }
     }
   }
-  EXPECT_TRUE(optimistic.WithExclusive(
+  EXPECT_TRUE(optimistic.WithExclusiveShard(0,
       [](Table& t) { return t.ValidateInvariants(); }).ok());
 }
 
@@ -254,87 +206,12 @@ TEST(OptimisticDifferentialTest, BlockedTraceMatchesLocked) {
   RunDifferentialTrace<BlockedMcCuckooTable<uint64_t, uint64_t>>(3);
 }
 
-// Sharded front-end with optimistic readers: parallel writers on disjoint
-// streams, readers validating committed prefixes through the per-shard
-// seqlock arrays.
-TEST(OptimisticStressTest, ShardedOptimisticReaders) {
-  using Table = McCuckooTable<uint64_t, uint64_t>;
-  TableOptions o = SmallOptions(1);
-  o.buckets_per_table *= 4;
-  ShardedMcCuckoo<Table> table(o, 4, ReadMode::kOptimistic);
-  ASSERT_EQ(table.read_mode(), ReadMode::kOptimistic);
-
-  constexpr int kWriters = 2;
-  constexpr size_t kPerWriter = 3000;
-  std::vector<std::vector<uint64_t>> streams;
-  for (int w = 0; w < kWriters; ++w) {
-    streams.push_back(MakeUniqueKeys(kPerWriter, 17, w));
-  }
-
-  std::array<std::atomic<size_t>, kWriters> committed{};
-  std::atomic<bool> stop{false};
-  std::atomic<int> reader_errors{0};
-
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 3; ++r) {
-    readers.emplace_back([&, r] {
-      constexpr size_t kB = 16;
-      uint64_t out[kB];
-      bool found[kB];
-      uint64_t i = static_cast<uint64_t>(r) * 104729;
-      while (!stop.load(std::memory_order_acquire)) {
-        const int w = static_cast<int>(i % kWriters);
-        const size_t limit = committed[w].load(std::memory_order_acquire);
-        if (limit > 0) {
-          const uint64_t k = streams[w][i % limit];
-          uint64_t v = 0;
-          if (!table.Find(k, &v) || v != k + 42) reader_errors.fetch_add(1);
-        }
-        if (limit >= kB) {
-          const size_t base = i % (limit - kB + 1);
-          table.FindBatch(
-              std::span<const uint64_t>(&streams[w][base], kB), out, found);
-          for (size_t j = 0; j < kB; ++j) {
-            if (!found[j] || out[j] != streams[w][base + j] + 42) {
-              reader_errors.fetch_add(1);
-            }
-          }
-        }
-        ++i;
-      }
-    });
-  }
-
-  std::vector<std::thread> writers;
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&, w] {
-      const auto& keys = streams[w];
-      for (size_t i = 0; i < keys.size(); ++i) {
-        table.Insert(keys[i], keys[i] + 42);
-        committed[w].store(i + 1, std::memory_order_release);
-      }
-    });
-  }
-  for (auto& th : writers) th.join();
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  stop.store(true, std::memory_order_release);
-  for (auto& th : readers) th.join();
-
-  EXPECT_EQ(reader_errors.load(), 0);
-  EXPECT_EQ(table.TotalItems(), kWriters * kPerWriter);
-  for (size_t s = 0; s < table.num_shards(); ++s) {
-    EXPECT_TRUE(table.WithExclusiveShard(s, [](Table& t) {
-      return t.ValidateInvariants();
-    }).ok()) << "shard " << s;
-  }
-}
-
 // Rehash restructures the whole bucket array; the aux stripe must force
 // optimistic readers onto the lock for its duration, and every key must
 // stay visible afterwards.
-TEST(OptimisticStressTest, RehashUnderOptimisticReaders) {
+TEST(OptimisticStressTest, RehashUnderOptimisticReads) {
   using Table = McCuckooTable<uint64_t, uint64_t>;
-  OptimisticReaders<Table> table(SmallOptions(1));
+  ShardedMcCuckoo<Table> table(SmallOptions(1), 1, ReadMode::kOptimistic);
   const auto keys = MakeUniqueKeys(1500, 21, 0);
   for (uint64_t k : keys) table.Insert(k, k + 1);
 
@@ -354,7 +231,7 @@ TEST(OptimisticStressTest, RehashUnderOptimisticReaders) {
   }
   const uint64_t buckets = SmallOptions(1).buckets_per_table;
   for (int round = 0; round < 3; ++round) {
-    ASSERT_TRUE(table.WithExclusive([&](Table& t) {
+    ASSERT_TRUE(table.WithExclusiveShard(0, [&](Table& t) {
       return t.Rehash(buckets, /*new_seed=*/1000 + round);
     }).ok());
   }
@@ -372,14 +249,14 @@ TEST(OptimisticStressTest, RehashUnderOptimisticReaders) {
 // scalar read can fall back at most once, so fallbacks <= reads performed
 // holds on any scheduler (non-flaky), while torn reads or lost keys would
 // show up as reader_errors.
-TEST(OptimisticStressTest, AutoGrowthUnderOptimisticReaders) {
+TEST(OptimisticStressTest, AutoGrowthUnderOptimisticReads) {
   using Table = McCuckooTable<uint64_t, uint64_t>;
   TableOptions o;
   o.buckets_per_table = 256;
   o.maxloop = 200;
   o.deletion_mode = DeletionMode::kResetCounters;
   o.growth.enabled = true;
-  OptimisticReaders<Table> table(o);
+  ShardedMcCuckoo<Table> table(o, 1, ReadMode::kOptimistic);
 
   const auto keys = MakeUniqueKeys(12000, 23, 0);
   std::atomic<size_t> committed{0};
@@ -422,12 +299,13 @@ TEST(OptimisticStressTest, AutoGrowthUnderOptimisticReaders) {
   EXPECT_LE(snap.optimistic_fallbacks, reader_ops.load());
   // Growth pressure was satisfied by growing, never by degrading.
   EXPECT_EQ(snap.growth_suppressed, 0u);
-  EXPECT_TRUE(table.WithExclusive(
+  EXPECT_TRUE(table.WithExclusiveShard(0,
       [](Table& t) { return t.CheckInvariants(); }).ok());
 }
 
 TEST(OptimisticStressTest, MetricsCountersExported) {
-  OptimisticReaders<McCuckooTable<uint64_t, uint64_t>> table(SmallOptions(1));
+  ShardedMcCuckoo<McCuckooTable<uint64_t, uint64_t>> table(
+      SmallOptions(1), 1, ReadMode::kOptimistic);
   for (uint64_t k = 0; k < 500; ++k) table.Insert(k * 2654435761u, k);
   for (uint64_t k = 0; k < 500; ++k) table.Contains(k * 2654435761u);
   const MetricsSnapshot snap = table.metrics_snapshot();
