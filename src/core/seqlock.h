@@ -31,6 +31,9 @@
 //    writer stores and are discarded on version mismatch; the runtime
 //    AnnotateIgnoreReadsBegin/End pair (exported by libtsan) covers inlined
 //    callees, which no_sanitize attributes do not.
+//  * ValidatedLookup — the reader protocol itself, written once for both
+//    McCuckoo tables and for one key or one batch tile: record versions,
+//    probe into locals, validate, and only then publish.
 //
 // Memory ordering follows the standard seqlock recipe (Boehm, "Can
 // seqlocks get along with programming language memory models?"):
@@ -47,12 +50,14 @@
 #ifndef MCCUCKOO_CORE_SEQLOCK_H_
 #define MCCUCKOO_CORE_SEQLOCK_H_
 
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #if defined(__SANITIZE_THREAD__)
@@ -312,6 +317,117 @@ class SeqlockReadCritical {
   SeqlockReadCritical(const SeqlockReadCritical&) = delete;
   SeqlockReadCritical& operator=(const SeqlockReadCritical&) = delete;
 };
+
+/// What a table's main-table probe concluded: the bucket part of a lookup,
+/// before any stash probe. kCheckStash means the buckets missed and the
+/// §III.E/F screen could not rule the stash out; a locked path then probes
+/// the stash, an optimistic read answers kNeedsStash.
+enum class ProbeOutcome : uint8_t { kHit, kMiss, kCheckStash };
+
+/// What an optimistic attempt's candidate stage read under the recorded
+/// aux version: the hash count and the size of the bucket domain every
+/// candidate index must fall in.
+struct StagedGeometry {
+  uint32_t d;
+  size_t buckets;
+};
+
+/// What ValidatedLookup concluded, and how many keys it found.
+struct ValidatedResult {
+  OptimisticResult result;
+  size_t hits;
+};
+
+/// The optimistic read protocol, for one key (kMaxKeys = 1) or one batch
+/// tile. In order:
+///  1. record the aux stripe: Rehash swaps geometry and hash seeds under it;
+///  2. `stage(cand)` computes the keys' candidates (each exposing its
+///     bucket indices as `idx`) under that version and returns the geometry
+///     it read. A candidate outside the bucket domain is a torn read of a
+///     committing Rehash, so the attempt is kContended before any probe
+///     dereferences it (storage a racing Rehash replaced stays live, see
+///     the tables' retired_);
+///  3. record the stripes of each key's candidates, deduplicated per key;
+///  4. `probe(i, cand[i], &value, sink)` runs the table's uncharged
+///     main-table probe into locals, stopping at the first kCheckStash;
+///  5. validate every recorded version. Only a validated attempt
+///     publishes: kNeedsStash as is (the stash's map must not be traversed
+///     racily, and a retry would conclude the same), otherwise the metrics
+///     `sink` is flushed and the values and found flags are copied out.
+/// The result is kHit when every key was answered (`hits` counts the keys
+/// found), kNeedsStash, or kContended when no array is attached or a writer
+/// was or became active in a recorded stripe.
+template <size_t kMaxKeys, typename Sink, typename Cand, typename Value,
+          typename Metrics, typename Stage, typename Probe>
+ValidatedResult ValidatedLookup(const SeqlockArray* seq, size_t n_keys,
+                                Stage&& stage, Probe&& probe,
+                                Metrics& metrics, Value* out, bool* found) {
+  // Torn reads are discarded after validation, but reading a partially
+  // updated non-trivial type (a std::string mid-reallocation) would be UB
+  // before validation happens.
+  static_assert(std::is_trivially_copyable_v<Value>,
+                "optimistic reads require trivially copyable values");
+  constexpr ValidatedResult kContended{OptimisticResult::kContended, 0};
+  if (seq == nullptr) return kContended;
+  if (n_keys == 0) return {OptimisticResult::kHit, 0};
+  assert(n_keys <= kMaxKeys);
+  constexpr size_t kMaxStripes =
+      kMaxKeys * std::tuple_size_v<decltype(Cand::idx)> + 1;
+  std::array<size_t, kMaxStripes> stripes;
+  std::array<uint32_t, kMaxStripes> versions;
+  size_t n = 0;
+  // Records one stripe's version; false if a writer holds it.
+  auto record = [&](size_t stripe) {
+    stripes[n] = stripe;
+    versions[n] = seq->ReadBegin(stripe);
+    return !SeqlockArray::IsWriting(versions[n++]);
+  };
+  if (!record(seq->aux_stripe())) return kContended;
+  std::array<Cand, kMaxKeys> cand;
+  StagedGeometry g;
+  {
+    SeqlockReadCritical crit;
+    g = stage(cand.data());
+    for (size_t i = 0; i < n_keys; ++i) {
+      for (uint32_t t = 0; t < g.d; ++t) {
+        if (cand[i].idx[t] >= g.buckets) return kContended;
+      }
+    }
+  }
+  for (size_t i = 0; i < n_keys; ++i) {
+    const size_t first = n;
+    for (uint32_t t = 0; t < g.d; ++t) {
+      const size_t s = seq->StripeOf(cand[i].idx[t]);
+      bool dup = false;
+      for (size_t j = first; j < n; ++j) dup |= stripes[j] == s;
+      if (!dup && !record(s)) return kContended;
+    }
+  }
+  // Probe into locals: neither the out-parameters nor the shared metrics
+  // may observe a result that fails validation.
+  std::array<Value, kMaxKeys> value{};
+  std::array<bool, kMaxKeys> hit{};
+  Sink sink;
+  bool needs_stash = false;
+  {
+    SeqlockReadCritical crit;
+    for (size_t i = 0; i < n_keys && !needs_stash; ++i) {
+      const ProbeOutcome o = probe(i, cand[i], &value[i], sink);
+      needs_stash = o == ProbeOutcome::kCheckStash;
+      hit[i] = o == ProbeOutcome::kHit;
+    }
+  }
+  if (!seq->Validate(stripes.data(), versions.data(), n)) return kContended;
+  if (needs_stash) return {OptimisticResult::kNeedsStash, 0};
+  sink.FlushTo(metrics);
+  size_t hits = 0;
+  for (size_t i = 0; i < n_keys; ++i) {
+    if (found != nullptr) found[i] = hit[i];
+    if (out != nullptr && hit[i]) out[i] = value[i];
+    hits += hit[i] ? 1 : 0;
+  }
+  return {OptimisticResult::kHit, hits};
+}
 
 }  // namespace mccuckoo
 

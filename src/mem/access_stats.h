@@ -85,6 +85,31 @@ struct AccessStats {
   }
 };
 
+/// The AccessStats charge sinks a lookup body is templated on. Each
+/// McCuckoo table has one main-table probe: the paper-model paths (Find,
+/// FindBatch, InsertOrAssign, Erase) run it with StatsCharge, the
+/// mutation-free reader paths (FindNoStats, the optimistic and striped
+/// reads) with NoCharge, whose calls compile to nothing. The probe
+/// decisions are the same either way, so both paths agree on hits, values
+/// and lookup metrics.
+struct StatsCharge {
+  AccessStats* stats;
+  bool offchip_stash;  ///< a stash probe is an off-chip (else on-chip) read
+
+  void OnchipReads(uint64_t n) const { stats->onchip_reads += n; }
+  void OffchipRead() const { ++stats->offchip_reads; }
+  void StashProbe() const {
+    ++stats->stash_probes;
+    ++(offchip_stash ? stats->offchip_reads : stats->onchip_reads);
+  }
+};
+
+struct NoCharge {
+  void OnchipReads(uint64_t) const {}
+  void OffchipRead() const {}
+  void StashProbe() const {}
+};
+
 }  // namespace mccuckoo
 
 #endif  // MCCUCKOO_MEM_ACCESS_STATS_H_

@@ -806,15 +806,23 @@ struct TableMetrics {
 /// Compiled-out builds never read the clock.
 inline uint64_t MetricsNowNs() { return 0; }
 
-/// No-op scalar record and batch tally matching the enabled interface.
-struct LookupRecord {
+#endif  // MCCUCKOO_NO_METRICS
+
+/// Lookup-metrics sink that records nothing: for the write paths that run
+/// a table's lookup body only to locate a key (InsertOrAssign, Erase) and
+/// do not count as lookups.
+struct NoLookupMetrics {
   void RecordLookupOutcome(uint64_t, int32_t) {}
   void RecordPartitionProbes(uint32_t, uint64_t) {}
   void RecordStashProbe(bool) {}
+};
+
+#ifdef MCCUCKOO_NO_METRICS
+/// No-op scalar record and batch tally matching the enabled interface.
+struct LookupRecord : NoLookupMetrics {
   void FlushTo(TableMetrics&) const {}
 };
 struct LookupTally : LookupRecord {};
-
 #endif  // MCCUCKOO_NO_METRICS
 
 }  // namespace mccuckoo
