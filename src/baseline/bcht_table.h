@@ -113,11 +113,11 @@ class BchtTable {
       return InsertResult::kUpdated;
     }
     if (!stash_.empty()) {
-      ChargeStashProbe();
+      Charged().StashProbe();
       const bool in_stash = stash_.Find(key, nullptr);
       metrics_->RecordStashProbe(in_stash);
       if (in_stash) {
-        ChargeStashWrite();
+        Charged().StashWrite();
         stash_.Insert(key, value);
         return InsertResult::kUpdated;
       }
@@ -275,7 +275,7 @@ class BchtTable {
     metrics_->RecordInsert(chain, MetricsNowNs() - t0);
     metrics_->RecordPolicyChain(static_cast<uint32_t>(opts_.eviction_policy),
                                 chain);
-    ChargeStashWrite();
+    Charged().StashWrite();
     stash_.Insert(key, value);
     if (opts_.stash_kind == StashKind::kOnchipChs &&
         stash_.size() > opts_.onchip_stash_capacity) {
@@ -296,7 +296,7 @@ class BchtTable {
     rec.RecordPartitionProbes(0, probes);  // no partitions: slot 0
     bool hit = in_main;
     if (!hit && !stash_.empty()) {
-      self->ChargeStashProbe();
+      Charged().StashProbe();
       hit = stash_.Find(key, out);
       rec.RecordStashProbe(hit);
     }
@@ -348,11 +348,11 @@ class BchtTable {
       return true;
     }
     if (!stash_.empty()) {
-      ChargeStashProbe();
+      Charged().StashProbe();
       const bool hit = stash_.Erase(key);
       metrics_->RecordStashProbe(hit);
       if (hit) {
-        ChargeStashWrite();
+        Charged().StashWrite();
         metrics_->RecordErase();
         return true;
       }
@@ -438,24 +438,10 @@ class BchtTable {
   }
 
  private:
-  /// Charges one stash probe (off-chip read, or free-ish on-chip read for
-  /// the classic CHS stash).
-  void ChargeStashProbe() {
-    ++stats_->stash_probes;
-    if (opts_.stash_kind == StashKind::kOffchip) {
-      ++stats_->offchip_reads;
-    } else {
-      ++stats_->onchip_reads;
-    }
-  }
-
-  /// Charges one stash mutation (store/erase).
-  void ChargeStashWrite() {
-    if (opts_.stash_kind == StashKind::kOffchip) {
-      ++stats_->offchip_writes;
-    } else {
-      ++stats_->onchip_writes;
-    }
+  /// The AccessStats sink for stash accesses: off-chip for the paper's
+  /// stash, on-chip for the classic CHS stash.
+  StatsCharge Charged() const {
+    return {stats_.get(), opts_.stash_kind == StashKind::kOffchip};
   }
 
   static constexpr size_t kNoBucket = static_cast<size_t>(-1);

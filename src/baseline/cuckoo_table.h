@@ -108,11 +108,11 @@ class CuckooTable {
       return InsertResult::kUpdated;
     }
     if (!stash_.empty()) {
-      ChargeStashProbe();
+      Charged().StashProbe();
       const bool in_stash = stash_.Find(key, nullptr);
       metrics_->RecordStashProbe(in_stash);
       if (in_stash) {
-        ChargeStashWrite();
+        Charged().StashWrite();
         stash_.Insert(key, value);
         return InsertResult::kUpdated;
       }
@@ -195,11 +195,11 @@ class CuckooTable {
       return true;
     }
     if (!stash_.empty()) {
-      ChargeStashProbe();
+      Charged().StashProbe();
       const bool hit = stash_.Erase(key);
       metrics_->RecordStashProbe(hit);
       if (hit) {
-        ChargeStashWrite();
+        Charged().StashWrite();
         metrics_->RecordErase();
         return true;
       }
@@ -286,24 +286,10 @@ class CuckooTable {
   }
 
  private:
-  /// Charges one stash probe (off-chip read, or free-ish on-chip read for
-  /// the classic CHS stash).
-  void ChargeStashProbe() {
-    ++stats_->stash_probes;
-    if (opts_.stash_kind == StashKind::kOffchip) {
-      ++stats_->offchip_reads;
-    } else {
-      ++stats_->onchip_reads;
-    }
-  }
-
-  /// Charges one stash mutation (store/erase).
-  void ChargeStashWrite() {
-    if (opts_.stash_kind == StashKind::kOffchip) {
-      ++stats_->offchip_writes;
-    } else {
-      ++stats_->onchip_writes;
-    }
+  /// The AccessStats sink for stash accesses: off-chip for the paper's
+  /// stash, on-chip for the classic CHS stash.
+  StatsCharge Charged() const {
+    return {stats_.get(), opts_.stash_kind == StashKind::kOffchip};
   }
 
   static constexpr size_t kNoBucket = static_cast<size_t>(-1);
@@ -365,7 +351,7 @@ class CuckooTable {
     rec.RecordPartitionProbes(0, probes);  // no partitions: slot 0
     bool hit = idx >= 0;
     if (!hit && !stash_.empty()) {
-      self->ChargeStashProbe();
+      Charged().StashProbe();
       hit = stash_.Find(key, out);
       rec.RecordStashProbe(hit);
     }
@@ -459,7 +445,7 @@ class CuckooTable {
       trace_.Record(ev);
       trace_.NoteStashed();
     }
-    ChargeStashWrite();
+    Charged().StashWrite();
     stash_.Insert(key, value);
     if (opts_.stash_kind == StashKind::kOnchipChs &&
         stash_.size() > opts_.onchip_stash_capacity) {
@@ -563,7 +549,7 @@ class CuckooTable {
       trace_.Record(ev);
       trace_.NoteStashed();
     }
-    ChargeStashWrite();
+    Charged().StashWrite();
     stash_.Insert(key, value);
     if (opts_.stash_kind == StashKind::kOnchipChs &&
         stash_.size() > opts_.onchip_stash_capacity) {

@@ -26,50 +26,37 @@
 #ifndef MCCUCKOO_CORE_BLOCKED_MCCUCKOO_TABLE_H_
 #define MCCUCKOO_CORE_BLOCKED_MCCUCKOO_TABLE_H_
 
-#include <algorithm>
 #include <array>
 #include <cassert>
 #include <cstdint>
-#include <memory>
-#include <cstdio>
-#include <cstdlib>
-#include <new>
-#include <span>
-#include <string>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/bits.h"
-#include "src/common/rng.h"
-#include "src/common/status.h"
 #include "src/core/bucket_header.h"
 #include "src/core/config.h"
 #include "src/core/counter_array.h"
 #include "src/core/eviction.h"
-#include "src/core/growth.h"
-#include "src/core/lookup_paths.h"
 #include "src/core/seqlock.h"
 #include "src/core/stash.h"
+#include "src/core/table_chassis.h"
 #include "src/hash/hash_family.h"
 #include "src/mem/access_stats.h"
-#include "src/obs/heatmap.h"
-#include "src/obs/latency_recorder.h"
 #include "src/obs/metrics.h"
-#include "src/obs/span_recorder.h"
 #include "src/obs/trace_recorder.h"
 
 namespace mccuckoo {
 
 /// Blocked multi-copy cuckoo hash table (d hashes, l slots per bucket).
+/// Everything but the layout and the insertion algorithms is the shared
+/// chassis (table_chassis.h).
 template <typename Key, typename Value, typename Hasher = BobHasher,
           typename Family = HashFamily<Key, Hasher>>
   requires SeedableHasher<Hasher, Key>
-class BlockedMcCuckooTable {
+class BlockedMcCuckooTable
+    : public McCuckooChassis<BlockedMcCuckooTable<Key, Value, Hasher, Family>,
+                             Key, Value, Family> {
  public:
-  /// Exposed template parameters (used by wrappers/adapters).
-  using KeyType = Key;
-  using ValueType = Value;
   using HasherType = Hasher;
 
   /// Sentinel for "no copy in that sub-table" in a record's hint array.
@@ -85,10 +72,22 @@ class BlockedMcCuckooTable {
   };
 
  private:
-  // The shared lookup entry points (src/core/lookup_paths.h) run this
-  // table's ProbeMain.
-  using Lookup = LookupPaths<BlockedMcCuckooTable>;
-  friend Lookup;
+  using Chassis = McCuckooChassis<BlockedMcCuckooTable, Key, Value, Family>;
+  friend Chassis;
+  using Chassis::bfs_throttle_;
+  using Chassis::family_;
+  using Chassis::kick_history_;
+  using Chassis::kNoBucket;
+  using Chassis::opts_;
+  using Chassis::redundant_writes_;
+  using Chassis::rng_;
+  using Chassis::SeqOpen;
+  using Chassis::size_;
+  using Chassis::spans_;
+  using Chassis::stash_;
+  using Chassis::StashOverflow;
+  using Chassis::stats_;
+  using Chassis::trace_;
 
   // Nested aggregates are defined before the operations: the batched and
   // candidate-reusing member signatures below mention them.
@@ -115,12 +114,30 @@ class BlockedMcCuckooTable {
   };
 
  public:
-  /// The configuration conditions Create() reports as Status. The
-  /// constructor enforces the same conditions with an unconditional abort,
-  /// so Debug and Release builds agree on what direct construction with
-  /// unsupported options does (it used to be a Debug-only assert).
-  static Status CheckOptions(const TableOptions& options) {
-    if (Status s = options.Validate(); !s.ok()) return s;
+  /// Constructs a table; `options` must satisfy CheckOptions() (aborts
+  /// otherwise — use Create() for untrusted configuration).
+  explicit BlockedMcCuckooTable(const TableOptions& options)
+      : Chassis(options, /*rng_salt=*/0xB10CB10CB10CB10Cull),
+        slots_(static_cast<size_t>(options.num_hashes) *
+               options.buckets_per_table * options.slots_per_bucket),
+        flags_(static_cast<size_t>(options.num_hashes) *
+               options.buckets_per_table),
+        counters_(slots_.size(), options.slots_per_bucket, options.num_hashes,
+                  stats_.get()),
+        probe_simd_(ResolveProbeKind(options.probe) == ProbeKind::kSimd) {}
+
+  /// Which tag-probe kernel this instance resolved to ("simd"/"scalar");
+  /// bench keys embed it.
+  const char* probe_variant() const { return probe_simd_ ? "simd" : "scalar"; }
+
+ private:
+  // --- chassis hooks (see table_chassis.h) -------------------------------
+
+  static constexpr const char* kName = "BlockedMcCuckooTable";
+  /// Bucket headers keep each occupant's whole fingerprint byte.
+  static constexpr uint8_t kTagMask = 0xFFu;
+
+  static Status CheckLayout(const TableOptions& options) {
     if (options.slots_per_bucket < 2) {
       return Status::InvalidArgument(
           "BlockedMcCuckooTable needs slots_per_bucket >= 2; "
@@ -129,596 +146,57 @@ class BlockedMcCuckooTable {
     return Status::OK();
   }
 
-  /// Constructs a table; `options` must satisfy CheckOptions() (aborts
-  /// otherwise — use Create() for untrusted configuration).
-  explicit BlockedMcCuckooTable(const TableOptions& options)
-      : opts_(options),
-        family_(options.num_hashes, options.buckets_per_table, options.seed),
-        slots_(static_cast<size_t>(options.num_hashes) *
-               options.buckets_per_table * options.slots_per_bucket),
-        flags_(static_cast<size_t>(options.num_hashes) *
-               options.buckets_per_table),
-        counters_(slots_.size(), options.slots_per_bucket, options.num_hashes,
-                  stats_.get()),
-        probe_simd_(ResolveProbeKind(options.probe) == ProbeKind::kSimd),
-        rng_(SplitMix64(options.seed ^ 0xB10CB10CB10CB10Cull)),
-        growth_(options.growth) {
-    if (Status s = CheckOptions(options); !s.ok()) {
-      std::fprintf(stderr, "BlockedMcCuckooTable: %s\n", s.message().c_str());
-      std::abort();
-    }
-    if (options.eviction_policy == EvictionPolicy::kMinCounter) {
-      kick_history_ =
-          KickHistory(flags_.size(), options.kick_counter_bits, stats_.get());
-    }
-    latency_->set_sample_period(options.latency_sample_period);
-  }
+  size_t num_buckets() const { return flags_.size(); }
+  const Slot& SlotAt(size_t idx) const { return slots_[idx]; }
+  bool FlagAt(size_t bucket) const { return flags_.Test(bucket); }
 
-  /// Validating factory for untrusted configuration.
-  static Result<BlockedMcCuckooTable> Create(const TableOptions& options) {
-    if (Status s = CheckOptions(options); !s.ok()) return s;
-    return BlockedMcCuckooTable(options);
-  }
-
-  // --- Core operations ---------------------------------------------------
-
-  /// Inserts a key assumed not to be present (see McCuckooTable::Insert).
-  InsertResult Insert(const Key& key, const Value& value) {
-    ScopedLatencySample lat(latency_.get(), LatencyOp::kInsert);
-    return InsertWithCandidates(key, value, ComputeCandidates(key));
-  }
-
-  /// Inserts or, if the key exists (main table or stash), updates every copy.
-  InsertResult InsertOrAssign(const Key& key, const Value& value) {
-    NoLookupMetrics no_metrics;
-    Position pos;
-    const ProbeOutcome o = ProbeMain(key, ComputeCandidates(key), nullptr,
-                                     Charged(), no_metrics, &pos);
-    if (o == ProbeOutcome::kHit) {
-      CopySet copies = LocateAllCopies(key, pos, CounterAt(pos));
-      for (uint32_t i = 0; i < copies.count; ++i) {
-        WriteSlotValue(copies.pos[i], key, value);
-      }
-      SeqFlush();
-      return InsertResult::kUpdated;
-    }
-    if (o == ProbeOutcome::kCheckStash) {
-      Charged().StashProbe();
-      const bool in_stash = stash_.Find(key, nullptr);
-      metrics_->RecordStashProbe(in_stash);
-      if (in_stash) {
-        ChargeStashWrite();
-        SeqOpenAux();
-        stash_.Insert(key, value);
-        SeqFlush();
-        return InsertResult::kUpdated;
-      }
-    }
-    return Insert(key, value);
-  }
-
-  /// Looks `key` up (Algorithm 2, Fig 7).
-  bool Find(const Key& key, Value* out = nullptr) const {
-    ScopedLatencySample lat(latency_.get(), LatencyOp::kFind);
-    return Lookup::One(*this, key, out, Charged());
-  }
-
-  bool Contains(const Key& key) const { return Find(key, nullptr); }
-
-  // --- Batched operations (software-pipelined) ---------------------------
-  //
-  // Same two-stage pipeline as McCuckooTable: stage 1 hashes a tile of
-  // keys and prefetches every candidate bucket's slot lines and counter
-  // words; stage 2 replays the unchanged scalar per-key logic. Algorithm
-  // 2's bucket-sum skipping and the AccessStats accounting are bit-
-  // identical to a scalar loop.
-
-  /// Internal pipeline depth. 16 keys, not 64: a blocked bucket spans
-  /// l * sizeof(Slot) bytes (several lines), so large tiles overflow L1
-  /// before stage 2 replays the first keys — see the sizing comment on
-  /// McCuckooTable::kBatchTile.
-  static constexpr size_t kBatchTile = 16;
-
-  /// Batched lookup; equivalent to calling Find per key, in order. Returns
-  /// the number of keys found.
-  size_t FindBatch(std::span<const Key> keys, Value* out, bool* found) const {
-    return Lookup::Batch(*this, keys, out, found, Charged());
-  }
-
-  /// Batched membership test.
-  size_t ContainsBatch(std::span<const Key> keys, bool* found) const {
-    return FindBatch(keys, nullptr, found);
-  }
-
-  /// Batched mutation-free lookup (sharded/concurrent reader path).
-  size_t FindBatchNoStats(std::span<const Key> keys, Value* out,
-                          bool* found) const {
-    return Lookup::Batch(*this, keys, out, found, NoCharge{});
-  }
-
-  /// Batched insertion; equivalent to calling Insert per key, in order.
-  void InsertBatch(std::span<const Key> keys, std::span<const Value> values,
-                   InsertResult* results = nullptr) {
-    ScopedLatencySample lat(latency_.get(), LatencyOp::kInsertBatch);
-    assert(keys.size() == values.size());
-    std::array<Candidates, kBatchTile> cand;
-    for (size_t base = 0; base < keys.size(); base += kBatchTile) {
-      const size_t n = std::min(kBatchTile, keys.size() - base);
-      StageCandidates(&keys[base], n, cand.data(), /*for_write=*/true);
-      for (size_t i = 0; i < n; ++i) {
-        const uint64_t epoch = rehash_epoch_;
-        const InsertResult r =
-            InsertWithCandidates(keys[base + i], values[base + i], cand[i]);
-        if (results != nullptr) results[base + i] = r;
-        // An auto-growth rehash inside the insert replaced the geometry
-        // and hash seeds; the remaining staged candidates were computed
-        // against the old ones and must be re-derived.
-        if (rehash_epoch_ != epoch && i + 1 < n) {
-          StageCandidates(&keys[base + i + 1], n - i - 1, &cand[i + 1],
-                          /*for_write=*/true);
-        }
-      }
-    }
-  }
-
-  /// Statistics-free const lookup (see McCuckooTable::FindNoStats): the
-  /// ShardedMcCuckoo kLocked reader path. Performs no mutation.
-  bool FindNoStats(const Key& key, Value* out = nullptr) const {
-    return Lookup::One(*this, key, out, NoCharge{});
-  }
-
-  // --- Optimistic (seqlock-validated) read path --------------------------
-  // Same protocol as McCuckooTable; stripes cover whole buckets here.
-
-  /// Attaches (or, with null, detaches) the wrapper-owned version array.
-  void AttachSeqlock(SeqlockArray* seq) { seq_ = seq; }
-
-  /// Sizing hint for the version array: one potential stripe per bucket.
-  size_t seqlock_domain() const { return flags_.size(); }
-
-  /// Lock-free lookup attempt (see McCuckooTable::TryFindOptimistic).
-  OptimisticResult TryFindOptimistic(const Key& key,
-                                     Value* out = nullptr) const {
-    return Lookup::Optimistic(*this, key, out);
-  }
-
-  /// All-or-nothing optimistic batch lookup over one tile (see
-  /// McCuckooTable::TryFindBatchOptimistic).
-  OptimisticResult TryFindBatchOptimistic(std::span<const Key> keys,
-                                          Value* out, bool* found,
-                                          size_t* hits) const {
-    return Lookup::OptimisticBatch(*this, keys, out, found, hits);
-  }
-
-  /// Deletes `key` (Algorithm 3, Fig 8): zero off-chip writes.
-  bool Erase(const Key& key) {
-    ScopedLatencySample lat(latency_.get(), LatencyOp::kErase);
-    if (opts_.deletion_mode == DeletionMode::kDisabled) {
-      std::fprintf(stderr,
-                   "BlockedMcCuckooTable::Erase called with "
-                   "DeletionMode::kDisabled\n");
-      std::abort();
-    }
-    NoLookupMetrics no_metrics;
-    Position pos;
-    const ProbeOutcome o = ProbeMain(key, ComputeCandidates(key), nullptr,
-                                     Charged(), no_metrics, &pos);
-    if (o == ProbeOutcome::kHit) {
-      CopySet copies = LocateAllCopies(key, pos, CounterAt(pos));
-      for (uint32_t i = 0; i < copies.count; ++i) {
-        SeqOpen(copies.pos[i].bucket);
-        const size_t idx = SlotIndex(copies.pos[i]);
-        if (opts_.deletion_mode == DeletionMode::kTombstone) {
-          counters_.MarkDeleted(idx);
-        } else {
-          counters_.Set(idx, 0);
-        }
-      }
-      --size_;
-      SeqFlush();
-      metrics_->RecordErase();
-      return true;
-    }
-    if (o == ProbeOutcome::kCheckStash) {
-      Charged().StashProbe();
-      SeqOpenAux();
-      const bool hit = stash_.Erase(key);
-      SeqFlush();
-      metrics_->RecordStashProbe(hit);
-      if (hit) {
-        ChargeStashWrite();
-        ++stale_stash_flag_keys_;
-        metrics_->RecordErase();
-        return true;
-      }
-    }
-    return false;
-  }
-
-  /// Full rehash into a table of `new_buckets_per_table` buckets per
-  /// sub-table under a fresh hash family seeded by `new_seed` — the costly
-  /// remedy for insertion failures that the stash exists to avoid (§I.2),
-  /// provided for completeness and for growing a long-lived table. Reads
-  /// out every live item (charged: one read per old bucket plus the
-  /// re-insertion traffic) and rebuilds; stashed items are re-tried first.
-  /// Fails without touching the table if the new capacity cannot hold the
-  /// current items.
-  Status Rehash(uint64_t new_buckets_per_table, uint64_t new_seed) {
-    const uint64_t t0 = MetricsNowNs();
-    TableOptions new_opts = opts_;
-    new_opts.buckets_per_table = new_buckets_per_table;
-    new_opts.seed = new_seed;
-    Status s = new_opts.Validate();
-    if (!s.ok()) return s;
-    if (new_opts.capacity() < TotalItems()) {
-      return Status::InvalidArgument(
-          "rehash target smaller than the current item count");
-    }
-    // "Reading out all inserted items and using a different set of hash
-    // functions to put them into a bigger table" (§I.2).
-    std::vector<std::pair<Key, Value>> items;
-    items.reserve(TotalItems());
-    std::unordered_map<Key, bool> seen;
-    const uint32_t l = opts_.slots_per_bucket;
-    for (size_t bucket = 0; bucket < flags_.size(); ++bucket) {
-      ++stats_->offchip_reads;  // full scan of the old table, per bucket
-      for (uint32_t slot = 0; slot < l; ++slot) {
-        const size_t idx = bucket * l + slot;
-        if (counters_.PeekCounter(idx) == 0) continue;
-        const Slot& b = slots_[idx];
-        if (seen.emplace(b.key, true).second) {
-          items.emplace_back(b.key, b.value);
-        }
-      }
-    }
-    for (const auto& [k, v] : stash_.Items()) {
-      ++stats_->offchip_reads;
-      items.emplace_back(k, v);
-    }
-
-    // The rebuild runs with growth disabled: a re-insertion overflow must
-    // not recursively rehash the table being built. The caller-visible
-    // growth config is restored onto the rebuilt options before commit.
-    TableOptions build_opts = new_opts;
-    build_opts.growth.enabled = false;
-    BlockedMcCuckooTable rebuilt(build_opts);
-    for (const auto& [k, v] : items) {
-      rebuilt.Insert(k, v);
-    }
-    rebuilt.opts_.growth = new_opts.growth;
-    // Discard any degraded-state signal the growth-disabled rebuild
-    // raised; the live policy re-evaluates pressure after the commit.
-    rebuilt.metrics_->SetGrowthSuppressed(false);
-    // Keep lifetime counters across the rebuild.
-    rebuilt.redundant_writes_ += redundant_writes_;
-    rebuilt.first_collision_items_ = first_collision_items_;
-    rebuilt.first_failure_items_ = first_failure_items_;
-    const size_t moved_items = items.size();
-    SeqlockArray* seq = seq_;
-    if (seq == nullptr) {
-      *rebuilt.stats_ += *stats_;
-      rebuilt.metrics_->MergeFrom(*metrics_);
-      // Latency samples and the span timeline describe this table's
-      // lifetime too (the scratch rebuild's re-insertion samples fold in
-      // on top). The recorder object itself must survive the move: the
-      // auto-growing Insert that triggered this rehash still holds a
-      // ScopedLatencySample on it.
-      latency_->MergeFrom(*rebuilt.latency_);
-      std::unique_ptr<LatencyRecorder> latency = std::move(latency_);
-      rebuilt.spans_ = std::move(spans_);
-      // The policy and epoch describe this table's lifetime, not the
-      // scratch rebuild's: carry them across the wholesale move.
-      const uint64_t epoch = rehash_epoch_ + 1;
-      GrowthPolicy saved_growth = std::move(growth_);
-      *this = std::move(rebuilt);
-      latency_ = std::move(latency);
-      growth_ = std::move(saved_growth);
-      rehash_epoch_ = epoch;
-      metrics_->RecordRehash(MetricsNowNs() - t0);
-      spans_.Record(SpanKind::kRehash, t0, MetricsNowNs(), moved_items);
-      return Status::OK();
-    }
-    // The attached version array survives the rebuild (mask mapping is
-    // size-independent); the swap reallocates every slot, so it runs under
-    // the aux stripe to invalidate in-flight optimistic reads. The
-    // concurrent wrappers' exclusive sections already hold the aux stripe
-    // open around the whole call; only open it here when no outer writer
-    // does, so the stripe stays odd through the commit either way
-    // (WriteBegin is a blind increment — double-opening would flip it even).
-    const bool aux_held =
-        SeqlockArray::IsWriting(seq->Version(seq->aux_stripe()));
-    if (!aux_held) seq->WriteBegin(seq->aux_stripe());
-    CommitRebuildLockFree(std::move(rebuilt));  // leaves seq_ untouched
-    if (!aux_held) seq->WriteEnd(seq->aux_stripe());
-    metrics_->RecordRehash(MetricsNowNs() - t0);
-    spans_.Record(SpanKind::kRehash, t0, MetricsNowNs(), moved_items);
-    return Status::OK();
-  }
-
-  // --- Stash maintenance ---------------------------------------------------
-
-  /// Attempts to move stashed items back into free/redundant slots.
-  size_t TryDrainStash() {
-    size_t drained = 0;
-    for (const auto& [k, v] : stash_.Items()) {
-      Candidates cand = ComputeCandidates(k);
-      if (TryPlace(k, v, cand) > 0) {
-        SeqOpenAux();
-        stash_.Erase(k);
-        ChargeStashWrite();
-        ++size_;
-        ++drained;
-      }
-      SeqFlush();  // per item: slot copies and stash removal together
-    }
-    return drained;
-  }
-
-  /// Resets all stash flags and re-marks current stash items (§III.F).
-  void RebuildStashFlags() {
-    // Word-at-a-time scan of the set bits; one charged write per flag
-    // actually cleared, as before. Cleared and re-set flags publish
-    // together (SeqFlush at the end): a reader validating in between
-    // would false-miss a stashed key.
+  /// Word-at-a-time scan of the set bits; one charged write per flag
+  /// cleared.
+  void ClearStashFlags() {
     flags_.ForEachSetBit([&](size_t bucket) {
       SeqOpen(bucket);
       ++stats_->offchip_writes;
     });
     flags_.ClearAll();
-    for (const auto& [k, v] : stash_.Items()) {
-      (void)v;
-      Candidates cand = ComputeCandidates(k);
-      for (uint32_t t = 0; t < opts_.num_hashes; ++t) SetFlag(cand.idx[t]);
+  }
+
+  /// Rewrites every copy of the key found at `hit` (InsertOrAssign).
+  void AssignCopies(const Key& key, const Value& value, const Position& hit) {
+    const CopySet copies = LocateAllCopies(key, hit, CounterAt(hit));
+    for (uint32_t i = 0; i < copies.count; ++i) {
+      WriteSlotValue(copies.pos[i], key, value);
     }
-    stale_stash_flag_keys_ = 0;
-    SeqFlush();
   }
 
-  // --- Introspection -------------------------------------------------------
-
-  size_t size() const { return size_; }
-  size_t stash_size() const { return stash_.size(); }
-  size_t TotalItems() const { return size_ + stash_.size(); }
-  uint64_t capacity() const { return slots_.size(); }
-  double load_factor() const {
-    return static_cast<double>(TotalItems()) / static_cast<double>(capacity());
-  }
-  const TableOptions& options() const { return opts_; }
-  const AccessStats& stats() const { return *stats_; }
-  void ResetStats() { *stats_ = AccessStats{}; }
-
-  /// Point-in-time metrics copy with the occupancy/capacity gauges filled
-  /// (all zeros under -DMCCUCKOO_NO_METRICS).
-  MetricsSnapshot SnapshotMetrics() const {
-    MetricsSnapshot s = metrics_->Snapshot();
-    s.occupancy_items = TotalItems();
-    s.capacity_slots = capacity();
-    latency_->FoldInto(&s);
-    for (size_t k = 0; k < kSpanKinds; ++k) {
-      s.span_counts[k] += spans_.Totals()[k];
-    }
-    return s;
-  }
-
-  /// Clears the metrics, the kick-chain trace ring, the latency samples,
-  /// and the span ring.
-  void ResetMetrics() {
-    metrics_->Reset();
-    trace_.Clear();
-    latency_->Reset();
-    spans_.Clear();
-  }
-
-  /// Kick-chain trace ring (post-mortem inspection of recent chains).
-  const TraceRecorder& trace() const { return trace_; }
-
-  /// Span timeline ring (growth/rehash/reseed/dead-end/spill events).
-  const SpanRecorder& spans() const { return spans_; }
-
-  /// Sampled op-latency recorder.
-  LatencyRecorder& latency() const { return *latency_; }
-
-  /// The live metric cells (see McCuckooTable::metrics()).
-  TableMetrics& metrics() const { return *metrics_; }
-
-  /// Scans the table into an occupancy/counter heatmap at the requested
-  /// region resolution. Regions are runs of whole buckets; counter_values
-  /// counts slots by counter value (a blocked bucket has l counters).
-  HeatmapSnapshot Heatmap(size_t regions = 64) const {
-    HeatmapSnapshot h;
-    const size_t buckets = flags_.size();
-    const uint32_t l = opts_.slots_per_bucket;
-    if (regions == 0) regions = 1;
-    if (regions > buckets) regions = buckets;
-    h.region_occupied.assign(regions, 0);
-    h.region_slots.assign(regions, 0);
-    h.total_buckets = buckets;
-    h.total_slots = slots_.size();
-    const size_t per_region = (buckets + regions - 1) / regions;
-    for (size_t bucket = 0; bucket < buckets; ++bucket) {
-      const size_t region = bucket / per_region;
-      h.region_slots[region] += l;
-      for (uint32_t slot = 0; slot < l; ++slot) {
-        const uint64_t c = counters_.PeekCounter(bucket * l + slot);
-        const size_t cv = c < kMetricsPartitions ? c : kMetricsPartitions - 1;
-        ++h.counter_values[cv];
-        if (c != 0) {
-          ++h.region_occupied[region];
-          ++h.occupied_slots;
-        }
+  /// Resets (or tombstones) every copy's counter (Algorithm 3, Fig 8):
+  /// zero off-chip writes.
+  void EraseCopies(const Key& key, const Position& hit) {
+    const CopySet copies = LocateAllCopies(key, hit, CounterAt(hit));
+    for (uint32_t i = 0; i < copies.count; ++i) {
+      SeqOpen(copies.pos[i].bucket);
+      const size_t idx = SlotIndex(copies.pos[i]);
+      if (opts_.deletion_mode == DeletionMode::kTombstone) {
+        counters_.MarkDeleted(idx);
+      } else {
+        counters_.Set(idx, 0);
       }
     }
-    return h;
   }
 
-  /// Which tag-probe kernel this instance resolved to ("simd"/"scalar");
-  /// bench keys embed it.
-  const char* probe_variant() const { return probe_simd_ ? "simd" : "scalar"; }
-
-  uint64_t first_collision_items() const { return first_collision_items_; }
-  uint64_t first_failure_items() const { return first_failure_items_; }
-  uint64_t redundant_writes() const { return redundant_writes_; }
-  uint64_t stale_stash_flag_keys() const { return stale_stash_flag_keys_; }
-
-  /// Times a CHS-style on-chip stash exceeded its capacity — events where a
-  /// real deployment would have had to rehash (§II.B).
-  uint64_t forced_rehash_events() const { return forced_rehash_events_; }
-  size_t onchip_memory_bytes() const {
-    return counters_.counter_bytes() + kick_history_.memory_bytes();
-  }
-
-  /// Invokes `fn(key, value)` once per live key (main table + stash), in
-  /// unspecified order. Uncharged maintenance/snapshot path.
-  template <typename Fn>
-  void ForEachItem(Fn&& fn) const {
-    std::unordered_map<Key, bool> seen;
-    for (size_t idx = 0; idx < slots_.size(); ++idx) {
-      if (counters_.PeekCounter(idx) == 0) continue;
-      const Slot& b = slots_[idx];
-      if (seen.emplace(b.key, true).second) fn(b.key, b.value);
-    }
-    for (const auto& [k, v] : stash_.Items()) fn(k, v);
-  }
-
-  /// Number of live copies of `key` (uncharged; testing).
-  uint32_t CountCopies(const Key& key) const {
-    Candidates cand = ComputeCandidates(key);
-    uint32_t copies = 0;
-    for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
-      for (uint32_t s = 0; s < opts_.slots_per_bucket; ++s) {
-        const size_t idx = cand.idx[t] * opts_.slots_per_bucket + s;
-        if (counters_.PeekCounter(idx) > 0 && slots_[idx].key == key) ++copies;
-      }
-    }
-    return copies;
-  }
-
-  /// Exhaustive structural check (uncharged; testing).
-  Status ValidateInvariants() const {
-    std::unordered_map<Key, std::vector<size_t>> copies;
-    const uint64_t nb = opts_.buckets_per_table;
-    const uint32_t l = opts_.slots_per_bucket;
-    for (size_t idx = 0; idx < slots_.size(); ++idx) {
-      const uint64_t c = counters_.PeekCounter(idx);
-      if (counters_.PeekTombstone(idx)) {
-        if (opts_.deletion_mode != DeletionMode::kTombstone) {
-          return Status::Internal("tombstone outside kTombstone mode");
-        }
-        continue;
-      }
-      if (c == 0) continue;
-      if (c > opts_.num_hashes) {
-        return Status::Internal("counter exceeds d at " + std::to_string(idx));
-      }
-      const size_t bucket = idx / l;
-      const uint32_t t = static_cast<uint32_t>(bucket / nb);
-      const uint64_t b = bucket % nb;
-      if (family_.Bucket(slots_[idx].key, t) != b) {
-        return Status::Internal("occupant does not hash to bucket " +
-                                std::to_string(idx));
-      }
-      // Every occupied slot's header tag must fingerprint its occupant —
-      // the probe kernels rely on a mismatch proving a different key.
-      if (counters_.PeekTag(idx) != family_.TagOf(slots_[idx].key)) {
-        return Status::Internal("stale header tag at " + std::to_string(idx));
-      }
-      copies[slots_[idx].key].push_back(idx);
-    }
-    for (const auto& [k, positions] : copies) {
-      // At most one copy per bucket.
-      std::vector<size_t> buckets;
-      for (size_t idx : positions) buckets.push_back(idx / l);
-      std::sort(buckets.begin(), buckets.end());
-      if (std::adjacent_find(buckets.begin(), buckets.end()) !=
-          buckets.end()) {
-        return Status::Internal("two copies of one key in one bucket");
-      }
-      for (size_t idx : positions) {
-        if (counters_.PeekCounter(idx) != positions.size()) {
-          return Status::Internal("counter != copy count at " +
-                                  std::to_string(idx));
-        }
-        if (!(slots_[idx].value == slots_[positions.front()].value)) {
-          return Status::Internal("diverged copy values for a key");
-        }
-      }
-    }
-    if (copies.size() != size_) {
-      return Status::Internal("size_ does not match live distinct keys");
-    }
-    return Status::OK();
-  }
-
-  /// Debug-only consistency check for tests: runs ValidateInvariants and
-  /// additionally verifies that every stashed key still has its stash flag
-  /// set at every candidate bucket (flags are set on all candidates at
-  /// stash time and only cleared by rebuilds, so a missing flag would make
-  /// the key invisible to screened lookups). Flags may be stale-set — they
-  /// are sticky by design — but never missing for a stashed key. Compiles
-  /// to a no-op in release builds.
-  Status CheckInvariants() const {
-#ifdef NDEBUG
-    return Status::OK();
-#else
-    if (Status s = ValidateInvariants(); !s.ok()) return s;
-    if (opts_.stash_kind == StashKind::kOffchip) {
-      for (const auto& [k, v] : stash_.Items()) {
-        const Candidates cand = ComputeCandidates(k);
-        for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
-          if (!flags_.Test(cand.idx[t])) {
-            return Status::Internal(
-                "stashed key lacks a candidate stash flag at bucket " +
-                std::to_string(cand.idx[t]));
-          }
-          // Without deletions the screen additionally relies on every
-          // stashed key's candidate buckets staying all-ones forever: the
-          // key was stashed only after TryPlace saw every slot at counter
-          // 1, and a counter-1 slot can never fall to 0 nor climb past 1.
-          if (opts_.deletion_mode == DeletionMode::kDisabled) {
-            for (uint32_t s = 0; s < opts_.slots_per_bucket; ++s) {
-              const size_t si = SlotIndex(Position{cand.idx[t], s});
-              if (counters_.PeekCounter(si) != 1) {
-                return Status::Internal(
-                    "stashed key candidate bucket " +
-                    std::to_string(cand.idx[t]) + " slot " +
-                    std::to_string(s) + " has counter " +
-                    std::to_string(counters_.PeekCounter(si)) +
-                    " != 1 under kDisabled; the stash screen would veto "
-                    "lookups");
-              }
-            }
-          }
-        }
-      }
-    }
-    return Status::OK();
-#endif
-  }
-
-  /// Read-only view of the auto-growth state machine (tests/diagnostics).
-  const GrowthPolicy& growth_policy() const { return growth_; }
-
-  /// Bumps on every committed Rehash (manual or auto-growth); batch paths
-  /// use it to detect a mid-batch geometry/seed change.
-  uint64_t rehash_epoch() const { return rehash_epoch_; }
-
- private:
-  /// The AccessStats sink of the paper-model paths (see
-  /// McCuckooTable::Charged).
-  StatsCharge Charged() const {
-    return {stats_.get(), opts_.stash_kind == StashKind::kOffchip};
-  }
-
-  /// Charges one stash mutation (store/erase).
-  void ChargeStashWrite() {
-    if (opts_.stash_kind == StashKind::kOffchip) {
-      ++stats_->offchip_writes;
-    } else {
-      ++stats_->onchip_writes;
+  /// Takes the rebuilt slots, stash flags and headers pointer-wise; with
+  /// `retire` the replaced storage is parked for lagging optimistic
+  /// readers.
+  void AdoptStorage(BlockedMcCuckooTable& rebuilt, bool retire) {
+    slots_.swap(rebuilt.slots_);
+    flags_.Swap(rebuilt.flags_);
+    counters_.SwapStorage(rebuilt.counters_);
+    probe_simd_ = rebuilt.probe_simd_;
+    if (retire) {
+      retired_.push_back(RetiredStorage{std::move(rebuilt.slots_),
+                                        std::move(rebuilt.flags_),
+                                        std::move(rebuilt.counters_)});
     }
   }
-
-  static constexpr size_t kNoBucket = static_cast<size_t>(-1);
 
   Candidates ComputeCandidates(const Key& key) const {
     Candidates c{};
@@ -740,8 +218,8 @@ class BlockedMcCuckooTable {
   /// Pure hint stage; charges nothing.
   void StageCandidates(const Key* keys, size_t n, Candidates* cand,
                        bool for_write) const {
-    std::array<std::array<uint64_t, kMaxHashes>, kBatchTile> buckets;
-    std::array<uint8_t, kBatchTile> tags;
+    std::array<std::array<uint64_t, kMaxHashes>, Chassis::kBatchTile> buckets;
+    std::array<uint8_t, Chassis::kBatchTile> tags;
     family_.BucketsBatch(keys, n, buckets.data(), tags.data());
     const uint32_t d = opts_.num_hashes;
     const uint32_t l = opts_.slots_per_bucket;
@@ -875,75 +353,6 @@ class BlockedMcCuckooTable {
                : ProbeOutcome::kMiss;
   }
 
-  /// Scalar Insert body over precomputed candidates.
-  InsertResult InsertWithCandidates(const Key& key, const Value& value,
-                                    const Candidates& cand) {
-    const uint64_t t0 = MetricsNowNs();
-    const uint32_t placed = TryPlace(key, value, cand);
-    if (placed > 0) {
-      ++size_;
-      SeqFlush();
-      metrics_->RecordInsert(/*chain_len=*/0, MetricsNowNs() - t0);
-      growth_.ObserveInsert(/*overflowed=*/false, 0, opts_.maxloop);
-      MaybeGrow();
-      return InsertResult::kInserted;
-    }
-    if (first_collision_items_ == 0) {
-      first_collision_items_ = TotalItems() + 1;
-    }
-    const bool bfs = opts_.eviction_policy == EvictionPolicy::kBfs;
-    uint32_t chain_len = 0;
-    uint32_t bfs_nodes = 0;
-    uint32_t bfs_budget = 0;
-    const InsertResult r =
-        bfs ? BfsInsert(key, value, cand, &chain_len, &bfs_nodes, &bfs_budget)
-            : RandomWalkInsert(key, value, &chain_len);
-    // Whole chain published at once (see McCuckooTable).
-    SeqFlush();
-    metrics_->RecordInsert(chain_len, MetricsNowNs() - t0);
-    metrics_->RecordPolicyChain(
-        static_cast<uint32_t>(opts_.eviction_policy), chain_len);
-    if (bfs) metrics_->RecordBfsNodes(bfs_nodes);
-    growth_.ObserveInsert(r != InsertResult::kInserted, chain_len,
-                          opts_.maxloop, bfs_nodes, bfs_budget);
-    MaybeGrow();
-    return r;
-  }
-
-  /// Evaluates the growth policy after an insertion and acts on its
-  /// decision. Called with no stripes open (SeqFlush done): Rehash opens
-  /// the aux stripe itself when the outer writer section does not already
-  /// hold it, so a grow commits safely under live optimistic readers.
-  void MaybeGrow() {
-    const GrowthDecision d = growth_.Decide(
-        {TotalItems(), opts_.capacity(), stash_.size(),
-         opts_.buckets_per_table});
-    if (d.action == GrowthAction::kNone) return;
-    if (d.action == GrowthAction::kSuppressed) {
-      metrics_->SetGrowthSuppressed(true);
-      return;
-    }
-    Status s;
-    const uint64_t grow_t0 = MetricsNowNs();
-    try {
-      s = Rehash(d.new_buckets_per_table, growth_.NextSeed(opts_.seed));
-    } catch (const std::bad_alloc&) {
-      s = Status::ResourceExhausted("auto-growth allocation failed");
-    }
-    if (s.ok()) {
-      growth_.OnRehashSuccess(d.action);
-      metrics_->RecordGrowthRehash(d.action == GrowthAction::kReseed);
-      metrics_->SetGrowthSuppressed(false);
-      spans_.Record(d.action == GrowthAction::kReseed ? SpanKind::kReseed
-                                                      : SpanKind::kGrowth,
-                    grow_t0, MetricsNowNs(), d.new_buckets_per_table);
-    } else {
-      growth_.OnRehashFailure();
-      metrics_->RecordGrowthFailure();
-      metrics_->SetGrowthSuppressed(true);
-    }
-  }
-
   size_t SlotIndex(const Position& p) const {
     return p.bucket * opts_.slots_per_bucket + p.slot;
   }
@@ -954,26 +363,6 @@ class BlockedMcCuckooTable {
 
   static uint32_t TableOf(size_t bucket, uint64_t buckets_per_table) {
     return static_cast<uint32_t>(bucket / buckets_per_table);
-  }
-
-  // --- seqlock writer hooks -----------------------------------------------
-  //
-  // Stripes are at bucket granularity (the reader validates whole candidate
-  // buckets); every reader-visible mutation opens its bucket's stripe, and
-  // the operation publishes all opened stripes at once via SeqFlush() — see
-  // McCuckooTable's hooks for the kick-chain rationale. All no-ops when no
-  // SeqlockArray is attached.
-
-  void SeqOpen(size_t bucket) {
-    if (seq_ != nullptr) seq_open_.Open(*seq_, seq_->StripeOf(bucket));
-  }
-
-  void SeqOpenAux() {
-    if (seq_ != nullptr) seq_open_.Open(*seq_, seq_->aux_stripe());
-  }
-
-  void SeqFlush() {
-    if (seq_ != nullptr) seq_open_.CloseAll(*seq_);
   }
 
   // --- charged memory choke points ----------------------------------------
@@ -1204,24 +593,6 @@ class BlockedMcCuckooTable {
     return out;
   }
 
-  /// Shared insertion-failure tail (see McCuckooTable::StashOverflow): the
-  /// caller guarantees the item's candidate slots are all sole copies and
-  /// records its own trace event.
-  InsertResult StashOverflow(const Key& key, const Value& value) {
-    if (first_failure_items_ == 0) first_failure_items_ = TotalItems() + 1;
-    ChargeStashWrite();
-    SeqOpenAux();
-    stash_.Insert(key, value);
-    spans_.RecordInstant(SpanKind::kStashSpill, stash_.size());
-    if (opts_.stash_kind == StashKind::kOffchip) {
-      Candidates cand = ComputeCandidates(key);
-      for (uint32_t t = 0; t < opts_.num_hashes; ++t) SetFlag(cand.idx[t]);
-    } else if (stash_.size() > opts_.onchip_stash_capacity) {
-      ++forced_rehash_events_;  // a real CHS deployment would rehash here
-    }
-    return opts_.stash_enabled ? InsertResult::kStashed : InsertResult::kFailed;
-  }
-
   /// Random walk at slot granularity: eviction targets are sole copies
   /// (all candidate slot counters are 1 when this is reached). The victim
   /// bucket follows the configured policy — uniform random, MinCounter's
@@ -1434,89 +805,19 @@ class BlockedMcCuckooTable {
     return InsertResult::kInserted;
   }
 
-  /// Commits a Rehash-rebuilt table while optimistic readers may be
-  /// probing this one (caller holds the aux stripe odd). Reader-visible
-  /// storage — slots, stash flags and counters — is exchanged
-  /// pointer-wise, so a racing reader sees the old or the new buffer but
-  /// never a transient moved-from state, and the replaced epoch is parked
-  /// in retired_ so lagging readers keep dereferencing live memory. The
-  /// stats_/metrics_ heap objects stay identity-stable — a lagging reader
-  /// flushes its tally through the pre-commit pointer after validation — so
-  /// the rebuild's deltas are merged into them rather than replacing them
-  /// (see McCuckooTable::CommitRebuildLockFree). NOTE: keep in sync with
-  /// the member list — a member missed here keeps its pre-rehash value.
-  void CommitRebuildLockFree(BlockedMcCuckooTable&& rebuilt) {
-    slots_.swap(rebuilt.slots_);
-    flags_.Swap(rebuilt.flags_);
-    counters_.SwapStorage(rebuilt.counters_);
-    retired_.push_back(RetiredStorage{std::move(rebuilt.slots_),
-                                      std::move(rebuilt.flags_),
-                                      std::move(rebuilt.counters_)});
-    opts_ = rebuilt.opts_;
-    family_ = std::move(rebuilt.family_);
-    *stats_ += *rebuilt.stats_;
-    metrics_->MergeFrom(*rebuilt.metrics_);
-    latency_->MergeFrom(*rebuilt.latency_);
-    trace_ = std::move(rebuilt.trace_);
-    // spans_ deliberately keeps this table's ring — it is a lifetime
-    // timeline; the rehash span lands in it right after this commit.
-    kick_history_.AdoptStorage(std::move(rebuilt.kick_history_));
-    stash_ = std::move(rebuilt.stash_);
-    rng_ = std::move(rebuilt.rng_);
-    probe_simd_ = rebuilt.probe_simd_;
-    // The rebuild just freed space, so any dead-end streak is stale.
-    bfs_throttle_ = {};
-    size_ = rebuilt.size_;
-    first_collision_items_ = rebuilt.first_collision_items_;
-    first_failure_items_ = rebuilt.first_failure_items_;
-    redundant_writes_ = rebuilt.redundant_writes_;
-    stale_stash_flag_keys_ = rebuilt.stale_stash_flag_keys_;
-    forced_rehash_events_ = rebuilt.forced_rehash_events_;
-    ++rehash_epoch_;
-    // seq_, seq_open_, retired_ and growth_ deliberately keep this table's
-    // values (the policy's backoff/reseed state spans rebuilds).
-  }
-
-  TableOptions opts_;
-  Family family_;
+  // The layout: d * buckets_per_table buckets of l slots. Members of the
+  // chassis come first.
   std::vector<Slot> slots_;
   // One stash flag per bucket (off-chip). Packed uint64_t words, not
   // std::vector<bool>: the word holding a flag is prefetchable alongside
   // the bucket's slot lines, and rebuilds scan set bits a word at a time.
   BitArray flags_;
-  // Heap-allocated so the pointer handed to CounterArray /
-  // KickHistory stays valid when the table is moved (Rehash,
-  // snapshot loading, factory returns).
-  mutable std::unique_ptr<AccessStats> stats_ =
-      std::make_unique<AccessStats>();
-  // Same pattern for the metrics: atomics are immovable, the unique_ptr
-  // keeps the table movable and lets const read paths record.
-  mutable std::unique_ptr<TableMetrics> metrics_ =
-      std::make_unique<TableMetrics>();
-  // Sampled op-latency recorder: heap-held for the same identity-stability
-  // reason as metrics_ (const read paths record through it across Rehash
-  // commits). Sample period applied from opts_ in the constructor body.
-  mutable std::unique_ptr<LatencyRecorder> latency_ =
-      std::make_unique<LatencyRecorder>();
-  TraceRecorder trace_;
-  // Growth/rehash/dead-end/spill timeline (writer-exclusion threading
-  // model, like trace_).
-  SpanRecorder spans_;
   // Per-bucket headers: slot tags + counters + tombstones in one aligned
   // 16-byte block per bucket (see bucket_header.h).
   BucketHeaderArray counters_;
   // Resolved TableOptions::probe — true when lookups use the vector
   // tag-match kernel. Same results and charges either way.
   bool probe_simd_;
-  KickHistory kick_history_;
-  Stash<Key, Value> stash_;
-  Xoshiro256 rng_;
-  BfsThrottle bfs_throttle_;
-  // Optimistic-read support: non-owning version array attached by the
-  // concurrent wrapper (null in single-threaded use) and the set of
-  // stripes the in-flight mutation holds odd until its SeqFlush().
-  SeqlockArray* seq_ = nullptr;
-  SeqlockWriterSet seq_open_;
   // Storage epochs retired by Rehash while a seqlock was attached. Never
   // accessed again (the CounterArray's stats pointer inside is dangling by
   // design) — held only so lagging optimistic readers dereference live
@@ -1527,18 +828,6 @@ class BlockedMcCuckooTable {
     BucketHeaderArray counters;
   };
   std::vector<RetiredStorage> retired_;
-
-  size_t size_ = 0;
-  uint64_t first_collision_items_ = 0;
-  uint64_t first_failure_items_ = 0;
-  uint64_t redundant_writes_ = 0;
-  uint64_t stale_stash_flag_keys_ = 0;
-  uint64_t forced_rehash_events_ = 0;
-  // Auto-growth state. Declared last and preserved across both Rehash
-  // commit paths: the policy tracks this table's lifetime (backoff,
-  // reseed quota), not any single geometry's.
-  GrowthPolicy growth_;
-  uint64_t rehash_epoch_ = 0;
 };
 
 }  // namespace mccuckoo

@@ -36,38 +36,26 @@
 #ifndef MCCUCKOO_CORE_MCCUCKOO_TABLE_H_
 #define MCCUCKOO_CORE_MCCUCKOO_TABLE_H_
 
-#include <algorithm>
 #include <array>
 #include <cassert>
 #include <cstdint>
-#include <memory>
-#include <cstdio>
-#include <cstdlib>
 #include <mutex>
-#include <new>
 #include <span>
-#include <string>
 #include <thread>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
-#include "src/common/rng.h"
-#include "src/common/status.h"
 #include "src/core/config.h"
 #include "src/core/counter_array.h"
 #include "src/core/eviction.h"
 #include "src/core/growth.h"
 #include "src/core/lock_stripes.h"
-#include "src/core/lookup_paths.h"
 #include "src/core/seqlock.h"
 #include "src/core/stash.h"
+#include "src/core/table_chassis.h"
 #include "src/hash/hash_family.h"
 #include "src/mem/access_stats.h"
-#include "src/obs/heatmap.h"
-#include "src/obs/latency_recorder.h"
 #include "src/obs/metrics.h"
-#include "src/obs/span_recorder.h"
 #include "src/obs/trace_recorder.h"
 
 namespace mccuckoo {
@@ -78,15 +66,16 @@ static_assert(kMaxHashes + 1 <= kMetricsPartitions,
 /// Multi-copy cuckoo hash table. Key must be equality-comparable and
 /// hashable by Hasher; Key and Value must be copyable. Not thread-safe (see
 /// ShardedMcCuckoo, src/core/sharded_mccuckoo.h, for the concurrent
-/// front-end).
+/// front-end). Everything but the layout and the insertion algorithms —
+/// lookup entry points, stash upkeep, rehash and growth, seqlock writer
+/// hooks, metrics and scans — is the shared chassis (table_chassis.h).
 template <typename Key, typename Value, typename Hasher = BobHasher,
           typename Family = HashFamily<Key, Hasher>>
   requires SeedableHasher<Hasher, Key>
-class McCuckooTable {
+class McCuckooTable
+    : public McCuckooChassis<McCuckooTable<Key, Value, Hasher, Family>, Key,
+                             Value, Family> {
  public:
-  /// Exposed template parameters (used by wrappers/adapters).
-  using KeyType = Key;
-  using ValueType = Value;
   using HasherType = Hasher;
 
   /// One off-chip bucket: the stored record plus the 1-bit stash flag that
@@ -99,10 +88,33 @@ class McCuckooTable {
   };
 
  private:
-  // The shared lookup entry points (src/core/lookup_paths.h) run this
-  // table's ProbeMain.
-  using Lookup = LookupPaths<McCuckooTable>;
-  friend Lookup;
+  using Chassis = McCuckooChassis<McCuckooTable, Key, Value, Family>;
+  friend Chassis;
+  using Chassis::bfs_throttle_;
+  using Chassis::family_;
+  using Chassis::first_collision_items_;
+  using Chassis::first_failure_items_;
+  using Chassis::forced_rehash_events_;
+  using Chassis::growth_;
+  using Chassis::kick_history_;
+  using Chassis::kNoBucket;
+  using Chassis::latency_;
+  using Chassis::MaybeGrow;
+  using Chassis::metrics_;
+  using Chassis::opts_;
+  using Chassis::redundant_writes_;
+  using Chassis::rehash_epoch_;
+  using Chassis::RequireDeletion;
+  using Chassis::rng_;
+  using Chassis::SeqOpen;
+  using Chassis::seq_;
+  using Chassis::size_;
+  using Chassis::spans_;
+  using Chassis::stale_stash_flag_keys_;
+  using Chassis::stash_;
+  using Chassis::StashOverflow;
+  using Chassis::stats_;
+  using Chassis::trace_;
 
   // Nested aggregates are defined before the operations: the batched and
   // candidate-reusing member signatures below mention them.
@@ -122,188 +134,22 @@ class McCuckooTable {
     uint32_t count = 0;
   };
 
- public:
-  /// The configuration conditions Create() reports as Status. The
-  /// constructor enforces the same conditions with an unconditional abort,
-  /// so Debug and Release builds agree on what direct construction with
-  /// unsupported options does (it used to be a Debug-only assert).
-  static Status CheckOptions(const TableOptions& options) {
-    if (Status s = options.Validate(); !s.ok()) return s;
-    if (options.slots_per_bucket != 1) {
-      return Status::InvalidArgument(
-          "McCuckooTable is single-slot; use BlockedMcCuckooTable");
-    }
-    return Status::OK();
-  }
+  /// Where a hit was found (the write paths' ProbeMain output).
+  using Position = size_t;
 
+ public:
   /// Constructs a table; `options` must satisfy CheckOptions() (aborts
   /// otherwise — use Create() for untrusted configuration).
   explicit McCuckooTable(const TableOptions& options)
-      : opts_(options),
-        family_(options.num_hashes, options.buckets_per_table, options.seed),
+      : Chassis(options, /*rng_salt=*/0xA5A5A5A5A5A5A5A5ull),
         table_(options.num_hashes * options.buckets_per_table),
         counters_(options.num_hashes * options.buckets_per_table,
-                  options.num_hashes, stats_.get()),
-        rng_(SplitMix64(options.seed ^ 0xA5A5A5A5A5A5A5A5ull)),
-        growth_(options.growth) {
-    if (Status s = CheckOptions(options); !s.ok()) {
-      std::fprintf(stderr, "McCuckooTable: %s\n", s.message().c_str());
-      std::abort();
-    }
-    if (options.eviction_policy == EvictionPolicy::kMinCounter) {
-      kick_history_ = KickHistory(table_.size(), options.kick_counter_bits,
-                                  stats_.get());
-    }
-    latency_->set_sample_period(options.latency_sample_period);
-  }
+                  options.num_hashes, stats_.get()) {}
 
-  /// Validating factory for untrusted configuration.
-  static Result<McCuckooTable> Create(const TableOptions& options) {
-    if (Status s = CheckOptions(options); !s.ok()) return s;
-    return McCuckooTable(options);
-  }
-
-  // --- Core operations -------------------------------------------------
-
-  /// Inserts a key assumed not to be present (the common case in the
-  /// paper's workloads; duplicate keys corrupt the copy invariants — use
-  /// InsertOrAssign when presence is unknown).
-  InsertResult Insert(const Key& key, const Value& value) {
-    ScopedLatencySample lat(latency_.get(), LatencyOp::kInsert);
-    return InsertWithCandidates(key, value, ComputeCandidates(key));
-  }
-
-  /// Inserts or, if the key exists (main table or stash), updates every
-  /// copy of it.
-  InsertResult InsertOrAssign(const Key& key, const Value& value) {
-    NoLookupMetrics no_metrics;
-    size_t found;
-    const ProbeOutcome o = ProbeMain(key, ComputeCandidates(key), nullptr,
-                                     Charged(), no_metrics, &found);
-    if (o == ProbeOutcome::kHit) {
-      CopySet copies =
-          LocateAllCopies(key, found, counters_.PeekCounter(found));
-      for (uint32_t i = 0; i < copies.count; ++i) {
-        StoreBucket(copies.idx[i], key, value);
-      }
-      SeqFlush();
-      return InsertResult::kUpdated;
-    }
-    if (o == ProbeOutcome::kCheckStash) {
-      Charged().StashProbe();
-      const bool in_stash = stash_.Find(key, nullptr);
-      metrics_->RecordStashProbe(in_stash);
-      if (in_stash) {
-        ChargeStashWrite();
-        SeqOpenAux();
-        stash_.Insert(key, value);
-        SeqFlush();
-        return InsertResult::kUpdated;
-      }
-    }
-    return Insert(key, value);
-  }
-
-  /// Looks `key` up; writes the value through `out` when found (out may be
-  /// null). Mutates only the access statistics.
-  bool Find(const Key& key, Value* out = nullptr) const {
-    ScopedLatencySample lat(latency_.get(), LatencyOp::kFind);
-    return Lookup::One(*this, key, out, Charged());
-  }
-
-  /// Convenience wrapper over Find.
-  bool Contains(const Key& key) const { return Find(key, nullptr); }
-
-  // --- Batched operations (software-pipelined) ---------------------------
-  //
-  // The scalar operations above issue one dependent miss chain per key:
-  // hash -> counter word -> candidate bucket. The batched variants break
-  // the chain in two stages per tile of up to kBatchTile keys: stage 1
-  // hashes every key and __builtin_prefetch-es all candidate buckets and
-  // their on-chip counter words; stage 2 replays the *unchanged* scalar
-  // per-key logic against now-warm lines. The counter-partition
-  // probe-skipping rules, stash screening, and AccessStats accounting are
-  // bit-identical to a scalar loop over the same keys (differential-tested)
-  // — prefetching only hides latency, it never reads for the algorithm.
-
-  /// Internal pipeline depth: tiles bound the candidate scratch space and
-  /// keep the prefetch distance within what outstanding-miss buffers cover.
-  /// The bound is an L1 budget, not a miss-buffer one: a tile touches
-  /// d lines per key (bucket + its counter word, which usually share a
-  /// set), so at d = 3 a 64-key tile stages ~64 * 3 * 2 * 64B = 24 KB —
-  /// most of a 32 KB L1d — and by the time stage 2 replays key 0 its lines
-  /// have been evicted by keys 40+ (the batch64/batch32 load95 regression).
-  /// 16 keys * 3 candidates * 2 lines = 6 KB leaves room for the probe
-  /// loop's own working set, and 48 outstanding prefetches still cover the
-  /// ~10 line-fill buffers of current cores.
-  static constexpr size_t kBatchTile = 16;
-
-  /// Batched lookup. For key i, found[i] is set and, on a hit, out[i]
-  /// receives the value (out may be null; found must not be). Returns the
-  /// number of keys found. Equivalent to calling Find per key, in order.
-  size_t FindBatch(std::span<const Key> keys, Value* out, bool* found) const {
-    return Lookup::Batch(*this, keys, out, found, Charged());
-  }
-
-  /// Batched membership test: FindBatch without value extraction.
-  size_t ContainsBatch(std::span<const Key> keys, bool* found) const {
-    return FindBatch(keys, nullptr, found);
-  }
-
-  /// Batched mutation-free lookup (the sharded/concurrent reader path):
-  /// equivalent to calling FindNoStats per key, in order.
-  size_t FindBatchNoStats(std::span<const Key> keys, Value* out,
-                          bool* found) const {
-    return Lookup::Batch(*this, keys, out, found, NoCharge{});
-  }
-
-  /// Batched insertion of keys assumed not to be present; results[i] (when
-  /// results is non-null) receives the per-key outcome. Equivalent to
-  /// calling Insert per key, in order — kick-out chains and stash spills
-  /// behave exactly as in the scalar path.
-  void InsertBatch(std::span<const Key> keys, std::span<const Value> values,
-                   InsertResult* results = nullptr) {
-    ScopedLatencySample lat(latency_.get(), LatencyOp::kInsertBatch);
-    assert(keys.size() == values.size());
-    std::array<Candidates, kBatchTile> cand;
-    for (size_t base = 0; base < keys.size(); base += kBatchTile) {
-      const size_t n = std::min(kBatchTile, keys.size() - base);
-      StageCandidates(&keys[base], n, cand.data(), /*for_write=*/true);
-      for (size_t i = 0; i < n; ++i) {
-        const uint64_t epoch = rehash_epoch_;
-        const InsertResult r =
-            InsertWithCandidates(keys[base + i], values[base + i], cand[i]);
-        if (results != nullptr) results[base + i] = r;
-        // An auto-growth rehash inside the insert replaced the geometry
-        // and hash seeds; the remaining staged candidates were computed
-        // against the old ones and must be re-derived.
-        if (rehash_epoch_ != epoch && i + 1 < n) {
-          StageCandidates(&keys[base + i + 1], n - i - 1, &cand[i + 1],
-                          /*for_write=*/true);
-        }
-      }
-    }
-  }
-
-  /// Statistics-free const lookup: Find's probe body without the
-  /// AccessStats charges, so it performs no mutation whatsoever (its hits,
-  /// values and lookup metrics are Find's). This is ShardedMcCuckoo's
-  /// kLocked read path — many readers may call it under a shard's shared
-  /// lock while a writer is excluded (see src/core/sharded_mccuckoo.h). Not
-  /// meant for experiments: it records no access counts.
-  bool FindNoStats(const Key& key, Value* out = nullptr) const {
-    return Lookup::One(*this, key, out, NoCharge{});
-  }
-
-  // --- Optimistic (seqlock-validated) read path --------------------------
-
-  /// Attaches (or, with null, detaches) the seqlock version array the
-  /// concurrent wrapper owns. While attached, every mutation opens the
-  /// stripes of the buckets it touches (odd version = in flight) and
-  /// publishes them at its commit point; TryFindOptimistic can then run
-  /// without any lock. Single-threaded users never call this and pay only
-  /// a null check per mutation choke point.
-  void AttachSeqlock(SeqlockArray* seq) { seq_ = seq; }
+  /// Probe kernel the lookup paths use. The single-slot table screens with
+  /// one fingerprint byte per candidate — a header-screened scalar probe;
+  /// only the blocked table has whole-bucket headers for the SIMD kernels.
+  const char* probe_variant() const { return "scalar"; }
 
   /// Attaches (or detaches) the striped writer-lock array for the
   /// multi-writer path (see lock_stripes.h). Must be congruent with the
@@ -311,470 +157,6 @@ class McCuckooTable {
   /// exclusive writer rights over the matching seqlock stripe, which is
   /// what keeps the blind non-RMW version bumps valid under many writers.
   void AttachLockStripes(LockStripeArray* locks) { locks_ = locks; }
-
-  /// Sizing hint for the version array covering this table's buckets.
-  size_t seqlock_domain() const { return table_.size(); }
-
-  /// Lock-free lookup attempt (the ValidatedLookup protocol of seqlock.h
-  /// over the uncharged probe): records the versions of the candidate
-  /// stripes plus the aux stripe covering the stash and the geometry, and
-  /// only reports a result if every recorded version was even and unchanged
-  /// afterwards. Any writer overlap yields kContended (the caller retries);
-  /// a validated probe that needs the stash yields kNeedsStash (the caller
-  /// takes its locked path at once). Metrics are published only with
-  /// kHit/kMiss — the locked path records the lookup otherwise. Not
-  /// latency-sampled: the wrapper's Find samples the whole read, retries
-  /// and fallback included. Requires an attached SeqlockArray.
-  OptimisticResult TryFindOptimistic(const Key& key,
-                                     Value* out = nullptr) const {
-    return Lookup::Optimistic(*this, key, out);
-  }
-
-  /// All-or-nothing optimistic batch lookup over one tile (keys.size() <=
-  /// kBatchTile): stages prefetches, records the versions of every touched
-  /// stripe, probes all keys, then validates once. Returns kHit with
-  /// out/found filled and the hit count in *hits; kContended if any stripe
-  /// was (or became) active; kNeedsStash if the validated tile has a key
-  /// that needs the stash — the caller re-runs the tile under the lock.
-  OptimisticResult TryFindBatchOptimistic(std::span<const Key> keys,
-                                          Value* out, bool* found,
-                                          size_t* hits) const {
-    return Lookup::OptimisticBatch(*this, keys, out, found, hits);
-  }
-
-  /// Deletes `key`. Requires a deletion-enabled mode; in multi-copy tables
-  /// this performs zero off-chip writes (only counters change, §III.B.3).
-  bool Erase(const Key& key) {
-    ScopedLatencySample lat(latency_.get(), LatencyOp::kErase);
-    if (opts_.deletion_mode == DeletionMode::kDisabled) {
-      std::fprintf(stderr,
-                   "McCuckooTable::Erase called with DeletionMode::kDisabled; "
-                   "construct the table with kResetCounters or kTombstone\n");
-      std::abort();
-    }
-    NoLookupMetrics no_metrics;
-    size_t found;
-    const ProbeOutcome o = ProbeMain(key, ComputeCandidates(key), nullptr,
-                                     Charged(), no_metrics, &found);
-    if (o == ProbeOutcome::kHit) {
-      CopySet copies =
-          LocateAllCopies(key, found, counters_.PeekCounter(found));
-      for (uint32_t i = 0; i < copies.count; ++i) {
-        SeqOpen(copies.idx[i]);
-        if (opts_.deletion_mode == DeletionMode::kTombstone) {
-          counters_.MarkDeleted(copies.idx[i]);
-        } else {
-          counters_.Set(copies.idx[i], 0);
-        }
-      }
-      --size_;
-      SeqFlush();
-      metrics_->RecordErase();
-      return true;
-    }
-    if (o == ProbeOutcome::kCheckStash) {
-      Charged().StashProbe();
-      SeqOpenAux();
-      const bool hit = stash_.Erase(key);
-      SeqFlush();
-      metrics_->RecordStashProbe(hit);
-      if (hit) {
-        ChargeStashWrite();
-        // Flags are Bloom-like and not cleared (§III.F); false positives
-        // accumulate until RebuildStashFlags().
-        ++stale_stash_flag_keys_;
-        metrics_->RecordErase();
-        return true;
-      }
-    }
-    return false;
-  }
-
-  /// Full rehash into a table of `new_buckets_per_table` buckets per
-  /// sub-table under a fresh hash family seeded by `new_seed` — the costly
-  /// remedy for insertion failures that the stash exists to avoid (§I.2),
-  /// provided for completeness and for growing a long-lived table. Reads
-  /// out every live item (charged: one read per old bucket plus the
-  /// re-insertion traffic) and rebuilds; stashed items are re-tried first.
-  /// Fails without touching the table if the new capacity cannot hold the
-  /// current items.
-  Status Rehash(uint64_t new_buckets_per_table, uint64_t new_seed) {
-    const uint64_t t0 = MetricsNowNs();
-    TableOptions new_opts = opts_;
-    new_opts.buckets_per_table = new_buckets_per_table;
-    new_opts.seed = new_seed;
-    Status s = new_opts.Validate();
-    if (!s.ok()) return s;
-    if (new_opts.capacity() < TotalItems()) {
-      return Status::InvalidArgument(
-          "rehash target smaller than the current item count");
-    }
-    // "Reading out all inserted items and using a different set of hash
-    // functions to put them into a bigger table" (§I.2).
-    std::vector<std::pair<Key, Value>> items;
-    items.reserve(TotalItems());
-    std::unordered_map<Key, bool> seen;
-    for (size_t idx = 0; idx < table_.size(); ++idx) {
-      ++stats_->offchip_reads;  // full scan of the old table
-      if (counters_.PeekCounter(idx) == 0) continue;
-      const Bucket& b = table_[idx];
-      if (seen.emplace(b.key, true).second) {
-        items.emplace_back(b.key, b.value);
-      }
-    }
-    for (const auto& [k, v] : stash_.Items()) {
-      ++stats_->offchip_reads;
-      items.emplace_back(k, v);
-    }
-
-    // The rebuild runs with growth disabled: a re-insertion overflow must
-    // not recursively rehash the table being built. The caller-visible
-    // growth config is restored onto the rebuilt options before commit.
-    TableOptions build_opts = new_opts;
-    build_opts.growth.enabled = false;
-    McCuckooTable rebuilt(build_opts);
-    for (const auto& [k, v] : items) {
-      rebuilt.Insert(k, v);
-    }
-    rebuilt.opts_.growth = new_opts.growth;
-    // Discard any degraded-state signal the growth-disabled rebuild
-    // raised; the live policy re-evaluates pressure after the commit.
-    rebuilt.metrics_->SetGrowthSuppressed(false);
-    // Keep lifetime counters across the rebuild.
-    rebuilt.redundant_writes_ += redundant_writes_;
-    rebuilt.first_collision_items_ = first_collision_items_;
-    rebuilt.first_failure_items_ = first_failure_items_;
-    const size_t moved_items = items.size();
-    SeqlockArray* seq = seq_;
-    if (seq == nullptr) {
-      *rebuilt.stats_ += *stats_;
-      rebuilt.metrics_->MergeFrom(*metrics_);
-      // Latency samples and the span timeline describe this table's
-      // lifetime too (the scratch rebuild's re-insertion samples fold in
-      // on top). The recorder object itself must survive the move: the
-      // auto-growing Insert that triggered this rehash still holds a
-      // ScopedLatencySample on it.
-      latency_->MergeFrom(*rebuilt.latency_);
-      std::unique_ptr<LatencyRecorder> latency = std::move(latency_);
-      rebuilt.spans_ = std::move(spans_);
-      // The policy and epoch describe this table's lifetime, not the
-      // scratch rebuild's: carry them across the wholesale move.
-      const uint64_t epoch = rehash_epoch_ + 1;
-      GrowthPolicy saved_growth = std::move(growth_);
-      *this = std::move(rebuilt);
-      latency_ = std::move(latency);
-      growth_ = std::move(saved_growth);
-      rehash_epoch_ = epoch;
-      metrics_->RecordRehash(MetricsNowNs() - t0);
-      spans_.Record(SpanKind::kRehash, t0, MetricsNowNs(), moved_items);
-      return Status::OK();
-    }
-    // The attached version array survives the rebuild (its mask mapping is
-    // size-independent); the swap itself reallocates every bucket, so it
-    // runs under the aux stripe to invalidate in-flight optimistic reads.
-    // The concurrent wrappers' exclusive sections already hold the aux
-    // stripe open around the whole call; only open it here when no outer
-    // writer does, so the stripe stays odd through the commit either way
-    // (WriteBegin is a blind increment — double-opening would flip it even).
-    const bool aux_held =
-        SeqlockArray::IsWriting(seq->Version(seq->aux_stripe()));
-    if (!aux_held) seq->WriteBegin(seq->aux_stripe());
-    CommitRebuildLockFree(std::move(rebuilt));  // leaves seq_ untouched
-    if (!aux_held) seq->WriteEnd(seq->aux_stripe());
-    metrics_->RecordRehash(MetricsNowNs() - t0);
-    spans_.Record(SpanKind::kRehash, t0, MetricsNowNs(), moved_items);
-    return Status::OK();
-  }
-
-  // --- Stash maintenance (§III.E/F) -------------------------------------
-
-  /// Attempts to move stashed items back into the main table (no new
-  /// kick-out chains are started: only free/redundant buckets are used).
-  /// Returns how many items left the stash. Flags are left set (sticky).
-  size_t TryDrainStash() {
-    size_t drained = 0;
-    for (const auto& [k, v] : stash_.Items()) {
-      Candidates cand = ComputeCandidates(k);
-      const uint32_t placed = TryPlace(k, v, cand);
-      if (placed > 0) {
-        SeqOpenAux();
-        stash_.Erase(k);
-        ChargeStashWrite();
-        ++size_;
-        ++drained;
-      }
-      SeqFlush();  // per item: bucket copies and stash removal together
-    }
-    return drained;
-  }
-
-  /// Resets every stash flag and re-marks the candidates of the items
-  /// currently stashed, re-synchronizing the screen after stash deletions
-  /// (§III.F). Charges one off-chip write per flag actually changed.
-  void RebuildStashFlags() {
-    // Cleared and re-set flags publish together: a reader validating
-    // between the clear and the re-mark would false-miss a stashed key.
-    for (size_t idx = 0; idx < table_.size(); ++idx) {
-      Bucket& b = table_[idx];
-      if (b.stash_flag) {
-        SeqOpen(idx);
-        b.stash_flag = false;
-        ++stats_->offchip_writes;
-      }
-    }
-    for (const auto& [k, v] : stash_.Items()) {
-      (void)v;
-      Candidates cand = ComputeCandidates(k);
-      for (uint32_t t = 0; t < opts_.num_hashes; ++t) SetFlag(cand.idx[t]);
-    }
-    stale_stash_flag_keys_ = 0;
-    SeqFlush();
-  }
-
-  // --- Introspection ----------------------------------------------------
-
-  /// Live keys resident in the main table (excludes the stash).
-  size_t size() const { return size_; }
-
-  /// Keys currently parked in the stash.
-  size_t stash_size() const { return stash_.size(); }
-
-  /// Live keys anywhere (main table + stash).
-  size_t TotalItems() const { return size_ + stash_.size(); }
-
-  /// Total buckets (= key capacity for the single-slot layout).
-  uint64_t capacity() const { return table_.size(); }
-
-  /// Distinct-items-to-buckets ratio, the paper's "load ratio".
-  double load_factor() const {
-    return static_cast<double>(TotalItems()) / static_cast<double>(capacity());
-  }
-
-  const TableOptions& options() const { return opts_; }
-  const AccessStats& stats() const { return *stats_; }
-  void ResetStats() { *stats_ = AccessStats{}; }
-
-  /// Point-in-time metrics copy with the occupancy/capacity gauges filled
-  /// (all zeros under -DMCCUCKOO_NO_METRICS). Safe to call concurrently
-  /// with readers; pair with writer exclusion for exact totals.
-  MetricsSnapshot SnapshotMetrics() const {
-    MetricsSnapshot s = metrics_->Snapshot();
-    s.occupancy_items = TotalItems();
-    s.capacity_slots = capacity();
-    latency_->FoldInto(&s);
-    for (size_t k = 0; k < kSpanKinds; ++k) {
-      s.span_counts[k] += spans_.Totals()[k];
-    }
-    return s;
-  }
-
-  /// Clears the metrics, the kick-chain trace ring, the latency samples,
-  /// and the span ring (AccessStats are separate; see ResetStats).
-  void ResetMetrics() {
-    metrics_->Reset();
-    trace_.Clear();
-    latency_->Reset();
-    spans_.Clear();
-  }
-
-  /// Kick-chain trace ring (post-mortem inspection of recent chains).
-  const TraceRecorder& trace() const { return trace_; }
-
-  /// Span timeline ring (growth/rehash/reseed/dead-end/spill events) —
-  /// feed Events() to ExportChromeTrace for a chrome://tracing view.
-  const SpanRecorder& spans() const { return spans_; }
-
-  /// Sampled op-latency recorder (configure via
-  /// TableOptions::latency_sample_period or set_sample_period).
-  LatencyRecorder& latency() const { return *latency_; }
-
-  /// The live metric cells (the concurrent wrappers record their
-  /// optimistic-read retries and fallbacks here).
-  TableMetrics& metrics() const { return *metrics_; }
-
-  /// Scans the table into an occupancy/counter heatmap at the requested
-  /// region resolution (full-table scan; scrape-time cost only).
-  HeatmapSnapshot Heatmap(size_t regions = 64) const {
-    HeatmapSnapshot h;
-    const size_t buckets = table_.size();
-    if (regions == 0) regions = 1;
-    if (regions > buckets) regions = buckets;
-    h.region_occupied.assign(regions, 0);
-    h.region_slots.assign(regions, 0);
-    h.total_buckets = buckets;
-    h.total_slots = buckets;  // single-slot layout
-    const size_t per_region = (buckets + regions - 1) / regions;
-    for (size_t idx = 0; idx < buckets; ++idx) {
-      const size_t region = idx / per_region;
-      ++h.region_slots[region];
-      const uint8_t c = counters_.PeekCounter(idx);
-      const size_t cv = c < kMetricsPartitions ? c : kMetricsPartitions - 1;
-      ++h.counter_values[cv];
-      if (c != 0) {
-        ++h.region_occupied[region];
-        ++h.occupied_slots;
-      }
-    }
-    return h;
-  }
-
-  /// Probe kernel the lookup paths use. The single-slot table screens with
-  /// one fingerprint byte per candidate — a header-screened scalar probe;
-  /// only the blocked table has whole-bucket headers for the SIMD kernels.
-  const char* probe_variant() const { return "scalar"; }
-
-  /// Items present when the first real collision happened (0 = none yet) —
-  /// Table I's metric.
-  uint64_t first_collision_items() const { return first_collision_items_; }
-
-  /// Items present when the first insertion failure (stash spill) happened
-  /// (0 = none yet) — Fig 11's metric.
-  uint64_t first_failure_items() const { return first_failure_items_; }
-
-  /// Total proactive redundant copy writes so far (copies beyond each
-  /// item's first). Theorem 2 bounds this by capacity * (1 + sum_{t=3..d}
-  /// 1/t); for d = 3: 5/6 of the bucket count.
-  uint64_t redundant_writes() const { return redundant_writes_; }
-
-  /// Keys erased from the stash whose flags are now stale (false-positive
-  /// pressure on the screen; see RebuildStashFlags).
-  uint64_t stale_stash_flag_keys() const { return stale_stash_flag_keys_; }
-
-  /// Times a CHS-style on-chip stash exceeded its capacity — events where a
-  /// real deployment would have had to rehash (§II.B).
-  uint64_t forced_rehash_events() const { return forced_rehash_events_; }
-
-  /// Bytes of modeled on-chip memory (copy counters, plus MinCounter's
-  /// kick-history array when that policy is active).
-  size_t onchip_memory_bytes() const {
-    return counters_.counter_bytes() + kick_history_.memory_bytes();
-  }
-
-  /// Invokes `fn(key, value)` once per live key (main table + stash), in
-  /// unspecified order. Uncharged maintenance/snapshot path.
-  template <typename Fn>
-  void ForEachItem(Fn&& fn) const {
-    std::unordered_map<Key, bool> seen;
-    for (size_t idx = 0; idx < table_.size(); ++idx) {
-      if (counters_.PeekCounter(idx) == 0) continue;
-      const Bucket& b = table_[idx];
-      if (seen.emplace(b.key, true).second) fn(b.key, b.value);
-    }
-    for (const auto& [k, v] : stash_.Items()) fn(k, v);
-  }
-
-  /// Number of live copies of `key` in the main table (uncharged; testing).
-  uint32_t CountCopies(const Key& key) const {
-    Candidates cand = ComputeCandidates(key);
-    uint32_t copies = 0;
-    for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
-      const size_t idx = cand.idx[t];
-      if (counters_.PeekCounter(idx) > 0 && table_[idx].key == key) ++copies;
-    }
-    return copies;
-  }
-
-  /// Exhaustively checks the structural invariants (uncharged; testing):
-  /// every live bucket's occupant hashes to that bucket; all copies of a
-  /// key are identical; every copy's counter equals the key's copy count;
-  /// tombstones only exist in kTombstone mode.
-  Status ValidateInvariants() const {
-    std::unordered_map<Key, std::vector<size_t>> copies;
-    for (size_t idx = 0; idx < table_.size(); ++idx) {
-      const uint64_t c = counters_.PeekCounter(idx);
-      if (counters_.PeekTombstone(idx)) {
-        if (opts_.deletion_mode != DeletionMode::kTombstone) {
-          return Status::Internal("tombstone outside kTombstone mode at " +
-                                  std::to_string(idx));
-        }
-        if (c != 0) {
-          return Status::Internal("tombstone with non-zero counter at " +
-                                  std::to_string(idx));
-        }
-        continue;
-      }
-      if (c == 0) continue;
-      if (c > opts_.num_hashes) {
-        return Status::Internal("counter exceeds d at " + std::to_string(idx));
-      }
-      const Key& k = table_[idx].key;
-      const uint32_t t = static_cast<uint32_t>(idx / opts_.buckets_per_table);
-      const uint64_t b = idx % opts_.buckets_per_table;
-      if (family_.Bucket(k, t) != b) {
-        return Status::Internal("occupant does not hash to bucket " +
-                                std::to_string(idx));
-      }
-      if (counters_.PeekTag(idx) != (family_.TagOf(k) & 0x0Fu)) {
-        return Status::Internal("stale bucket fingerprint at " +
-                                std::to_string(idx));
-      }
-      copies[k].push_back(idx);
-    }
-    for (const auto& [k, positions] : copies) {
-      for (size_t idx : positions) {
-        if (counters_.PeekCounter(idx) != positions.size()) {
-          return Status::Internal("counter != copy count at " +
-                                  std::to_string(idx));
-        }
-        if (!(table_[idx].value == table_[positions.front()].value)) {
-          return Status::Internal("diverged copy values for a key");
-        }
-      }
-    }
-    if (copies.size() != size_) {
-      return Status::Internal("size_ does not match live distinct keys: " +
-                              std::to_string(size_) + " vs " +
-                              std::to_string(copies.size()));
-    }
-    return Status::OK();
-  }
-
-  /// Debug-build deep check for the chaos/property harnesses:
-  /// ValidateInvariants plus the stash-screen rule that every stashed
-  /// key's candidate buckets carry the stash flag (flags may be stale-set
-  /// — they are sticky by design — but never missing). Compiles to an
-  /// unconditional OK in NDEBUG builds so release benchmarks can keep the
-  /// call sites.
-  Status CheckInvariants() const {
-#ifdef NDEBUG
-    return Status::OK();
-#else
-    if (Status s = ValidateInvariants(); !s.ok()) return s;
-    if (opts_.stash_kind == StashKind::kOffchip) {
-      for (const auto& [k, v] : stash_.Items()) {
-        (void)v;
-        const Candidates cand = ComputeCandidates(k);
-        for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
-          if (!table_[cand.idx[t]].stash_flag) {
-            return Status::Internal(
-                "stashed key lacks a candidate stash flag at bucket " +
-                std::to_string(cand.idx[t]));
-          }
-          // Without deletions the screen additionally relies on every
-          // stashed key's candidates holding sole copies forever: the key
-          // was stashed only after TryPlace saw all-ones, and a counter-1
-          // bucket can never fall to 0 nor climb past 1 again.
-          if (opts_.deletion_mode == DeletionMode::kDisabled &&
-              counters_.PeekCounter(cand.idx[t]) != 1) {
-            return Status::Internal(
-                "stashed key candidate bucket " + std::to_string(cand.idx[t]) +
-                " has counter " +
-                std::to_string(counters_.PeekCounter(cand.idx[t])) +
-                " != 1 under kDisabled; the stash screen would veto lookups");
-          }
-        }
-      }
-    }
-    return Status::OK();
-#endif
-  }
-
-  /// Read-only view of the auto-growth state machine.
-  const GrowthPolicy& growth_policy() const { return growth_; }
-
-  /// Completed rehash commits over this table's lifetime (manual and
-  /// growth-triggered). Changes exactly when the geometry/seeds may have.
-  uint64_t rehash_epoch() const { return rehash_epoch_; }
 
   // ===== Multi-writer (striped-lock) operations ===========================
   //
@@ -930,13 +312,7 @@ class McCuckooTable {
   bool ConcurrentErase(const Key& key) {
     ScopedLatencySample lat(latency_.get(), LatencyOp::kErase);
     assert(locks_ != nullptr);
-    if (opts_.deletion_mode == DeletionMode::kDisabled) {
-      std::fprintf(stderr,
-                   "McCuckooTable::ConcurrentErase called with "
-                   "DeletionMode::kDisabled; construct the table with "
-                   "kResetCounters or kTombstone\n");
-      std::abort();
-    }
+    RequireDeletion("ConcurrentErase");
     const Candidates cand = ComputeCandidates(key);
     LockStripeSet ls(*locks_, metrics_.get());
     SeqlockWriterSet ws;
@@ -1430,23 +806,69 @@ class McCuckooTable {
   }
 
  private:
-  /// The AccessStats sink of the paper-model paths. A stash probe is an
-  /// off-chip read for the paper's off-chip stash, an on-chip read for the
-  /// classic CHS stash.
-  StatsCharge Charged() const {
-    return {stats_.get(), opts_.stash_kind == StashKind::kOffchip};
+  // --- chassis hooks (see table_chassis.h) -------------------------------
+
+  static constexpr const char* kName = "McCuckooTable";
+  /// The counter store keeps the low nibble of each occupant's fingerprint.
+  static constexpr uint8_t kTagMask = 0x0Fu;
+
+  static Status CheckLayout(const TableOptions& options) {
+    if (options.slots_per_bucket != 1) {
+      return Status::InvalidArgument(
+          "McCuckooTable is single-slot; use BlockedMcCuckooTable");
+    }
+    return Status::OK();
   }
 
-  /// Charges one stash mutation (store/erase).
-  void ChargeStashWrite() {
-    if (opts_.stash_kind == StashKind::kOffchip) {
-      ++stats_->offchip_writes;
-    } else {
-      ++stats_->onchip_writes;
+  size_t num_buckets() const { return table_.size(); }
+  const Bucket& SlotAt(size_t idx) const { return table_[idx]; }
+  bool FlagAt(size_t idx) const { return table_[idx].stash_flag; }
+
+  void ClearStashFlags() {
+    for (size_t idx = 0; idx < table_.size(); ++idx) {
+      Bucket& b = table_[idx];
+      if (b.stash_flag) {
+        SeqOpen(idx);
+        b.stash_flag = false;
+        ++stats_->offchip_writes;
+      }
     }
   }
 
-  static constexpr size_t kNoBucket = static_cast<size_t>(-1);
+  /// Rewrites every copy of the key found at `hit` (InsertOrAssign).
+  void AssignCopies(const Key& key, const Value& value, size_t hit) {
+    const CopySet copies =
+        LocateAllCopies(key, hit, counters_.PeekCounter(hit));
+    for (uint32_t i = 0; i < copies.count; ++i) {
+      StoreBucket(copies.idx[i], key, value);
+    }
+  }
+
+  /// Resets (or tombstones) every copy's counter (Erase): zero off-chip
+  /// writes.
+  void EraseCopies(const Key& key, size_t hit) {
+    const CopySet copies =
+        LocateAllCopies(key, hit, counters_.PeekCounter(hit));
+    for (uint32_t i = 0; i < copies.count; ++i) {
+      SeqOpen(copies.idx[i]);
+      if (opts_.deletion_mode == DeletionMode::kTombstone) {
+        counters_.MarkDeleted(copies.idx[i]);
+      } else {
+        counters_.Set(copies.idx[i], 0);
+      }
+    }
+  }
+
+  /// Takes the rebuilt buckets and counters pointer-wise; with `retire`
+  /// the replaced storage is parked for lagging optimistic readers.
+  void AdoptStorage(McCuckooTable& rebuilt, bool retire) {
+    table_.swap(rebuilt.table_);
+    counters_.SwapStorage(rebuilt.counters_);
+    if (retire) {
+      retired_.push_back(RetiredStorage{std::move(rebuilt.table_),
+                                        std::move(rebuilt.counters_)});
+    }
+  }
 
   Candidates ComputeCandidates(const Key& key) const {
     Candidates c{};
@@ -1465,8 +887,8 @@ class McCuckooTable {
   /// prefetches are not algorithmic reads).
   void StageCandidates(const Key* keys, size_t n, Candidates* cand,
                        bool for_write) const {
-    std::array<std::array<uint64_t, kMaxHashes>, kBatchTile> buckets;
-    std::array<uint8_t, kBatchTile> tags;
+    std::array<std::array<uint64_t, kMaxHashes>, Chassis::kBatchTile> buckets;
+    std::array<uint8_t, Chassis::kBatchTile> tags;
     family_.BucketsBatch(keys, n, buckets.data(), tags.data());
     const uint32_t d = opts_.num_hashes;
     for (size_t i = 0; i < n; ++i) {
@@ -1490,104 +912,6 @@ class McCuckooTable {
         }
       }
     }
-  }
-
-  /// Scalar Insert body over precomputed candidates.
-  InsertResult InsertWithCandidates(const Key& key, const Value& value,
-                                    const Candidates& cand) {
-    const uint64_t t0 = MetricsNowNs();
-    const uint32_t placed = TryPlace(key, value, cand);
-    if (placed > 0) {
-      ++size_;
-      SeqFlush();
-      metrics_->RecordInsert(/*chain_len=*/0, MetricsNowNs() - t0);
-      growth_.ObserveInsert(/*overflowed=*/false, 0, opts_.maxloop);
-      MaybeGrow();
-      return InsertResult::kInserted;
-    }
-    // All candidates hold sole copies: a real collision (§III.D).
-    if (first_collision_items_ == 0) {
-      first_collision_items_ = TotalItems() + 1;
-    }
-    const bool bfs = opts_.eviction_policy == EvictionPolicy::kBfs;
-    uint32_t chain_len = 0;
-    uint32_t bfs_nodes = 0;
-    uint32_t bfs_budget = 0;
-    const InsertResult r =
-        bfs ? BfsInsert(key, value, cand, &chain_len, &bfs_nodes, &bfs_budget)
-            : RandomWalkInsert(key, value, &chain_len);
-    // The whole chain published at once: at no intermediate state was the
-    // in-hand key absent from a stripe readers could have validated.
-    SeqFlush();
-    metrics_->RecordInsert(chain_len, MetricsNowNs() - t0);
-    metrics_->RecordPolicyChain(
-        static_cast<uint32_t>(opts_.eviction_policy), chain_len);
-    if (bfs) metrics_->RecordBfsNodes(bfs_nodes);
-    growth_.ObserveInsert(r != InsertResult::kInserted, chain_len,
-                          opts_.maxloop, bfs_nodes, bfs_budget);
-    MaybeGrow();
-    return r;
-  }
-
-  /// Runs the growth policy against the post-insert occupancy and performs
-  /// the rehash it asks for. Called with no stripes open (SeqFlush done):
-  /// Rehash opens the aux stripe itself when the outer writer section does
-  /// not already hold it, so optimistic readers stay correct whether the
-  /// trigger fires inside a concurrent wrapper's Insert or a bare table.
-  void MaybeGrow() {
-    const GrowthDecision d = growth_.Decide(
-        {TotalItems(), opts_.capacity(), stash_.size(),
-         opts_.buckets_per_table});
-    if (d.action == GrowthAction::kNone) return;
-    if (d.action == GrowthAction::kSuppressed) {
-      metrics_->SetGrowthSuppressed(true);
-      return;
-    }
-    Status s;
-    const uint64_t grow_t0 = MetricsNowNs();
-    try {
-      s = Rehash(d.new_buckets_per_table, growth_.NextSeed(opts_.seed));
-    } catch (const std::bad_alloc&) {
-      // Graceful degradation: the table is untouched (the rebuild never
-      // reached its commit), inserts keep landing in the stash.
-      s = Status::ResourceExhausted("auto-growth allocation failed");
-    }
-    if (s.ok()) {
-      growth_.OnRehashSuccess(d.action);
-      metrics_->RecordGrowthRehash(d.action == GrowthAction::kReseed);
-      metrics_->SetGrowthSuppressed(false);
-      spans_.Record(d.action == GrowthAction::kReseed ? SpanKind::kReseed
-                                                      : SpanKind::kGrowth,
-                    grow_t0, MetricsNowNs(), d.new_buckets_per_table);
-    } else {
-      growth_.OnRehashFailure();
-      metrics_->RecordGrowthFailure();
-      metrics_->SetGrowthSuppressed(true);
-    }
-  }
-
-  // --- seqlock writer hooks ---------------------------------------------
-  //
-  // Every reader-visible mutation flows through the choke points below,
-  // which mark the touched bucket's stripe as in-flight (odd). Stripes stay
-  // odd across the *whole* operation — a kick chain's intermediate states
-  // have the in-hand key in no bucket at all, so publishing per-store would
-  // let an optimistic reader validate cleanly and miss a live key — and are
-  // published together by SeqFlush() at each operation's consistent point.
-  // All three are no-ops when no SeqlockArray is attached.
-
-  void SeqOpen(size_t bucket_idx) {
-    if (seq_ != nullptr) seq_open_.Open(*seq_, seq_->StripeOf(bucket_idx));
-  }
-
-  /// Opens the aux stripe covering state outside the bucket array (stash
-  /// membership and size).
-  void SeqOpenAux() {
-    if (seq_ != nullptr) seq_open_.Open(*seq_, seq_->aux_stripe());
-  }
-
-  void SeqFlush() {
-    if (seq_ != nullptr) seq_open_.CloseAll(*seq_);
   }
 
   // --- charged memory choke points --------------------------------------
@@ -1731,26 +1055,6 @@ class McCuckooTable {
     CopySet out = LocateOtherCopies(key, known_idx, v);
     out.idx[out.count++] = known_idx;
     return out;
-  }
-
-  /// Shared insertion-failure tail: parks the in-hand item in the stash
-  /// (flags set for the off-chip kind, forced-rehash accounting for the
-  /// on-chip kind). The caller guarantees the item's candidates all hold
-  /// sole copies — the all-ones precondition the kDisabled stash screen
-  /// relies on — and records its own trace event.
-  InsertResult StashOverflow(const Key& key, const Value& value) {
-    if (first_failure_items_ == 0) first_failure_items_ = TotalItems() + 1;
-    ChargeStashWrite();
-    SeqOpenAux();
-    stash_.Insert(key, value);
-    spans_.RecordInstant(SpanKind::kStashSpill, stash_.size());
-    if (opts_.stash_kind == StashKind::kOffchip) {
-      Candidates cand = ComputeCandidates(key);
-      for (uint32_t t = 0; t < opts_.num_hashes; ++t) SetFlag(cand.idx[t]);
-    } else if (stash_.size() > opts_.onchip_stash_capacity) {
-      ++forced_rehash_events_;  // a real CHS deployment would rehash here
-    }
-    return opts_.stash_enabled ? InsertResult::kStashed : InsertResult::kFailed;
   }
 
   /// Counter-guided random walk (§III.D): at each step, if the in-hand item
@@ -2065,82 +1369,10 @@ class McCuckooTable {
                : ProbeOutcome::kMiss;
   }
 
-  /// Commits a Rehash-rebuilt table while optimistic readers may be
-  /// probing this one (caller holds the aux stripe odd). Reader-visible
-  /// storage — buckets and counters — is exchanged pointer-wise, so a
-  /// racing reader sees the old or the new buffer but never a transient
-  /// moved-from state, and the replaced epoch is parked in retired_ so
-  /// lagging readers keep dereferencing live memory. Everything else is
-  /// either invisible to the optimistic probe or moves wholesale. The
-  /// stats_/metrics_ heap objects stay identity-stable — a lagging reader
-  /// flushes its tally through the pre-commit pointer after validation — so
-  /// the rebuild's deltas are merged into them rather than replacing them.
-  /// NOTE: keep in sync with the member list — a member missed here keeps
-  /// its pre-rehash value.
-  void CommitRebuildLockFree(McCuckooTable&& rebuilt) {
-    table_.swap(rebuilt.table_);
-    counters_.SwapStorage(rebuilt.counters_);
-    retired_.push_back(RetiredStorage{std::move(rebuilt.table_),
-                                      std::move(rebuilt.counters_)});
-    opts_ = rebuilt.opts_;
-    family_ = std::move(rebuilt.family_);
-    *stats_ += *rebuilt.stats_;
-    metrics_->MergeFrom(*rebuilt.metrics_);
-    latency_->MergeFrom(*rebuilt.latency_);
-    trace_ = std::move(rebuilt.trace_);
-    // spans_ deliberately keeps this table's ring: it is a lifetime
-    // timeline (the rehash span lands in it right after this commit);
-    // the scratch rebuild's ring holds nothing worth keeping.
-    kick_history_.AdoptStorage(std::move(rebuilt.kick_history_));
-    stash_ = std::move(rebuilt.stash_);
-    rng_ = std::move(rebuilt.rng_);
-    // The rebuild just freed space, so any dead-end streak is stale.
-    bfs_throttle_ = {};
-    size_ = rebuilt.size_;
-    first_collision_items_ = rebuilt.first_collision_items_;
-    first_failure_items_ = rebuilt.first_failure_items_;
-    redundant_writes_ = rebuilt.redundant_writes_;
-    stale_stash_flag_keys_ = rebuilt.stale_stash_flag_keys_;
-    forced_rehash_events_ = rebuilt.forced_rehash_events_;
-    ++rehash_epoch_;
-    // seq_, seq_open_, locks_, retired_ and growth_ deliberately keep this
-    // table's values (the policy's backoff/reseed state spans rebuilds, and
-    // the seqlock/lock-stripe attachments belong to the wrapper, not the
-    // scratch rebuild).
-  }
-
-  TableOptions opts_;
-  Family family_;
+  // The layout: d * buckets_per_table one-slot buckets and their counters
+  // (with fingerprint nibbles). Members of the chassis come first.
   std::vector<Bucket> table_;
-  // Heap-allocated so the pointer handed to CounterArray /
-  // KickHistory stays valid when the table is moved (Rehash,
-  // snapshot loading, factory returns).
-  mutable std::unique_ptr<AccessStats> stats_ =
-      std::make_unique<AccessStats>();
-  // Same pattern for the metrics: atomics are immovable, the unique_ptr
-  // keeps the table movable and lets const read paths record.
-  mutable std::unique_ptr<TableMetrics> metrics_ =
-      std::make_unique<TableMetrics>();
-  // Sampled op-latency recorder: heap-held for the same identity-stability
-  // reason as metrics_ (const read paths record through it, and lagging
-  // optimistic readers must see a live object across Rehash commits).
-  // The sample period is applied from opts_ in the constructor body.
-  mutable std::unique_ptr<LatencyRecorder> latency_ =
-      std::make_unique<LatencyRecorder>();
-  TraceRecorder trace_;
-  // Growth/rehash/dead-end/spill timeline (writer-exclusion threading
-  // model, like trace_).
-  SpanRecorder spans_;
   TagCounterArray counters_;
-  KickHistory kick_history_;
-  Stash<Key, Value> stash_;
-  Xoshiro256 rng_;
-  BfsThrottle bfs_throttle_;
-  // Optimistic-read support: non-owning version array attached by the
-  // concurrent wrapper (null in single-threaded use) and the set of
-  // stripes the in-flight mutation holds odd until its SeqFlush().
-  SeqlockArray* seq_ = nullptr;
-  SeqlockWriterSet seq_open_;
   // Multi-writer support: non-owning striped writer-lock array attached by
   // the multi-writer wrapper (null in single-writer use). Congruent with
   // seq_ by construction (both size via SeqlockArray::StripesFor), so a
@@ -2155,22 +1387,6 @@ class McCuckooTable {
     TagCounterArray counters;
   };
   std::vector<RetiredStorage> retired_;
-
-  // Lifetime counters. MovableAtomic so the concurrent paths can update
-  // them with real RMWs while every single-writer use site keeps its plain
-  // ++/+=/= spelling (non-RMW loads and stores, byte-identical codegen on
-  // the hot single-writer paths).
-  MovableAtomic<size_t> size_ = 0;
-  MovableAtomic<uint64_t> first_collision_items_ = 0;
-  MovableAtomic<uint64_t> first_failure_items_ = 0;
-  MovableAtomic<uint64_t> redundant_writes_ = 0;
-  MovableAtomic<uint64_t> stale_stash_flag_keys_ = 0;
-  MovableAtomic<uint64_t> forced_rehash_events_ = 0;
-  // Auto-growth engine: the policy state machine and the commit counter
-  // the batched insert path uses to detect mid-batch geometry changes.
-  // Both survive Rehash commits (see CommitRebuildLockFree).
-  GrowthPolicy growth_;
-  MovableAtomic<uint64_t> rehash_epoch_ = 0;
 };
 
 }  // namespace mccuckoo

@@ -91,16 +91,21 @@ struct AccessStats {
 /// mutation-free reader paths (FindNoStats, the optimistic and striped
 /// reads) with NoCharge, whose calls compile to nothing. The probe
 /// decisions are the same either way, so both paths agree on hits, values
-/// and lookup metrics.
+/// and lookup metrics. Every table charges its stash accesses through
+/// StatsCharge too.
 struct StatsCharge {
   AccessStats* stats;
-  bool offchip_stash;  ///< a stash probe is an off-chip (else on-chip) read
+  bool offchip_stash;  ///< the stash is off-chip (else the on-chip CHS kind)
 
   void OnchipReads(uint64_t n) const { stats->onchip_reads += n; }
   void OffchipRead() const { ++stats->offchip_reads; }
   void StashProbe() const {
     ++stats->stash_probes;
     ++(offchip_stash ? stats->offchip_reads : stats->onchip_reads);
+  }
+  /// One stash mutation (store or erase).
+  void StashWrite() const {
+    ++(offchip_stash ? stats->offchip_writes : stats->onchip_writes);
   }
 };
 

@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <type_traits>
+#include <vector>
+
 #include "src/core/blocked_mccuckoo_table.h"
 #include "src/core/mccuckoo_table.h"
+#include "src/core/seqlock.h"
 #include "src/workload/keyset.h"
 
 namespace mccuckoo {
@@ -118,6 +123,125 @@ TEST(RehashTest, WorksWithDeletionModes) {
   for (size_t i = 250; i < keys.size(); ++i) EXPECT_TRUE(t.Contains(keys[i]));
   EXPECT_EQ(t.TotalItems(), 250u);
   EXPECT_TRUE(t.ValidateInvariants().ok());
+}
+
+// Rehash commits one way whether or not a seqlock is attached: a table
+// driven by the concurrent wrappers and a bare one must come out of the
+// same op stream identical, and stay identical afterwards (the BFS
+// dead-end throttle included, which only shows in later inserts' costs).
+template <typename Table>
+class RehashTest : public ::testing::Test {};
+using CommitTables = ::testing::Types<McCuckooTable<uint64_t, uint64_t>,
+                                      BlockedMcCuckooTable<uint64_t, uint64_t>>;
+TYPED_TEST_SUITE(RehashTest, CommitTables);
+
+/// The snapshot's counters: every wall-clock field zeroed.
+template <typename Table>
+MetricsSnapshot MetricCounters(const Table& t) {
+  MetricsSnapshot s = t.SnapshotMetrics();
+  s.insert_ns = {};
+  s.rehash_ns = {};
+  s.writer_lock_wait_ns = {};
+  s.op_latency_ns = {};
+  return s;
+}
+
+template <typename Table>
+std::map<uint64_t, uint64_t> Items(const Table& t) {
+  std::map<uint64_t, uint64_t> items;
+  t.ForEachItem([&](uint64_t k, uint64_t v) { items.emplace(k, v); });
+  return items;
+}
+
+template <typename Table>
+void ExpectSameTables(const Table& bare, const Table& wrapped,
+                      const char* step) {
+  SCOPED_TRACE(step);
+  EXPECT_EQ(bare.size(), wrapped.size());
+  EXPECT_EQ(bare.stash_size(), wrapped.stash_size());
+  EXPECT_EQ(bare.capacity(), wrapped.capacity());
+  EXPECT_EQ(bare.first_collision_items(), wrapped.first_collision_items());
+  EXPECT_EQ(bare.first_failure_items(), wrapped.first_failure_items());
+  EXPECT_EQ(bare.redundant_writes(), wrapped.redundant_writes());
+  EXPECT_EQ(bare.stale_stash_flag_keys(), wrapped.stale_stash_flag_keys());
+  EXPECT_EQ(bare.forced_rehash_events(), wrapped.forced_rehash_events());
+  EXPECT_EQ(bare.onchip_memory_bytes(), wrapped.onchip_memory_bytes());
+  EXPECT_EQ(bare.rehash_epoch(), wrapped.rehash_epoch());
+  EXPECT_EQ(bare.stats(), wrapped.stats())
+      << bare.stats().ToString() << "\nvs\n" << wrapped.stats().ToString();
+  EXPECT_TRUE(MetricCounters(bare) == MetricCounters(wrapped));
+  EXPECT_EQ(Items(bare), Items(wrapped));
+  EXPECT_TRUE(bare.CheckInvariants().ok());
+  EXPECT_TRUE(wrapped.CheckInvariants().ok());
+}
+
+TYPED_TEST(RehashTest, SeqlockAttachedCommitMatchesBareCommit) {
+  using Table = TypeParam;
+  TableOptions o;
+  o.eviction_policy = EvictionPolicy::kBfs;
+  o.deletion_mode = DeletionMode::kResetCounters;
+  o.maxloop = 48;  // full BFS budget; one dead end throttles it to 16
+  o.seed = 11;
+  if constexpr (std::is_same_v<Table, McCuckooTable<uint64_t, uint64_t>>) {
+    o.buckets_per_table = 256;
+  } else {
+    o.slots_per_bucket = 2;
+    o.buckets_per_table = 128;
+  }
+  Table bare(o);
+  Table wrapped(o);
+  SeqlockArray seq(wrapped.seqlock_domain());
+  wrapped.AttachSeqlock(&seq);
+
+  const auto keys = MakeUniqueKeys(2 * bare.capacity(), 21, 0);
+  size_t next = 0;
+  // Inserts the next n keys into both tables; returns those `bare`
+  // stashed (with BFS a dead end stashes the inserted key itself).
+  auto insert_next = [&](size_t n) {
+    std::vector<uint64_t> stashed;
+    const size_t end = next + n;
+    EXPECT_LE(end, keys.size());
+    for (; next < end && next < keys.size(); ++next) {
+      const uint64_t k = keys[next];
+      if (bare.Insert(k, k + 1) == InsertResult::kStashed) {
+        stashed.push_back(k);
+      }
+      wrapped.Insert(k, k + 1);
+    }
+    return stashed;
+  };
+
+  const std::vector<uint64_t> stashed =
+      insert_next(bare.capacity() + bare.capacity() / 50);
+  ASSERT_GE(stashed.size(), 4u) << "the fill must spill into the stash";
+  // Erase every other stashed key, then every 8th key until the load is
+  // 0.99: the same-size reseed below then rebuilds at a load where BFS
+  // still dead-ends.
+  for (size_t i = 0; i < stashed.size(); i += 2) {
+    ASSERT_TRUE(bare.Erase(stashed[i]));
+    ASSERT_TRUE(wrapped.Erase(stashed[i]));
+  }
+  for (size_t i = 1; bare.TotalItems() > bare.capacity() * 99 / 100;
+       i += 8) {
+    bare.Erase(keys[i]);
+    wrapped.Erase(keys[i]);
+  }
+  ASSERT_GT(bare.stale_stash_flag_keys(), 0u);
+  ExpectSameTables(bare, wrapped, "before any rehash");
+
+  const uint64_t bpt = o.buckets_per_table;
+  ASSERT_TRUE(bare.Rehash(bpt, /*new_seed=*/777).ok());
+  ASSERT_TRUE(wrapped.Rehash(bpt, /*new_seed=*/777).ok());
+  ExpectSameTables(bare, wrapped, "after the same-size reseed");
+  insert_next(bare.capacity() / 50);
+  ExpectSameTables(bare, wrapped, "inserts after the reseed");
+
+  ASSERT_TRUE(bare.Rehash(2 * bpt, /*new_seed=*/778).ok());
+  ASSERT_TRUE(wrapped.Rehash(2 * bpt, /*new_seed=*/778).ok());
+  ExpectSameTables(bare, wrapped, "after the grow");
+  insert_next(bare.capacity() / 4);
+  ExpectSameTables(bare, wrapped, "inserts after the grow");
+  EXPECT_EQ(seq.Version(seq.aux_stripe()) % 2, 0u) << "aux stripe left odd";
 }
 
 }  // namespace
