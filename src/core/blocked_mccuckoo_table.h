@@ -50,12 +50,11 @@ namespace mccuckoo {
 /// Blocked multi-copy cuckoo hash table (d hashes, l slots per bucket).
 /// Everything but the layout and the insertion algorithms is the shared
 /// chassis (table_chassis.h).
-template <typename Key, typename Value, typename Hasher = BobHasher,
-          typename Family = HashFamily<Key, Hasher>>
+template <typename Key, typename Value, typename Hasher = BobHasher>
   requires SeedableHasher<Hasher, Key>
 class BlockedMcCuckooTable
-    : public McCuckooChassis<BlockedMcCuckooTable<Key, Value, Hasher, Family>,
-                             Key, Value, Family> {
+    : public McCuckooChassis<BlockedMcCuckooTable<Key, Value, Hasher>, Key,
+                             Value, Hasher> {
  public:
   using HasherType = Hasher;
 
@@ -72,8 +71,10 @@ class BlockedMcCuckooTable
   };
 
  private:
-  using Chassis = McCuckooChassis<BlockedMcCuckooTable, Key, Value, Family>;
+  using Chassis = McCuckooChassis<BlockedMcCuckooTable, Key, Value, Hasher>;
   friend Chassis;
+  using typename Chassis::Candidates;
+  using Chassis::ComputeCandidates;
   using Chassis::bfs_throttle_;
   using Chassis::family_;
   using Chassis::kick_history_;
@@ -91,13 +92,6 @@ class BlockedMcCuckooTable
 
   // Nested aggregates are defined before the operations: the batched and
   // candidate-reusing member signatures below mention them.
-
-  /// Global candidate bucket indices (bucket index space, not slot space)
-  /// plus the key's fingerprint, derived in the same hashing pass.
-  struct Candidates {
-    std::array<size_t, kMaxHashes> idx;
-    uint8_t tag = 0;
-  };
 
   /// A (sub-table, bucket, slot) position, held as (bucket index, slot).
   struct Position {
@@ -196,18 +190,6 @@ class BlockedMcCuckooTable
                                         std::move(rebuilt.flags_),
                                         std::move(rebuilt.counters_)});
     }
-  }
-
-  Candidates ComputeCandidates(const Key& key) const {
-    Candidates c{};
-    // Fused: the tag falls out of the hash evaluation the family already
-    // does for the bucket indices (for DoubleHashFamily this path is also
-    // 2 hashes instead of 2 per sub-table).
-    const std::array<uint64_t, kMaxHashes> b = family_.Buckets(key, &c.tag);
-    for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
-      c.idx[t] = static_cast<size_t>(t) * opts_.buckets_per_table + b[t];
-    }
-    return c;
   }
 
   // --- batching stage 1: hash + prefetch ---------------------------------

@@ -69,12 +69,11 @@ static_assert(kMaxHashes + 1 <= kMetricsPartitions,
 /// front-end). Everything but the layout and the insertion algorithms —
 /// lookup entry points, stash upkeep, rehash and growth, seqlock writer
 /// hooks, metrics and scans — is the shared chassis (table_chassis.h).
-template <typename Key, typename Value, typename Hasher = BobHasher,
-          typename Family = HashFamily<Key, Hasher>>
+template <typename Key, typename Value, typename Hasher = BobHasher>
   requires SeedableHasher<Hasher, Key>
 class McCuckooTable
-    : public McCuckooChassis<McCuckooTable<Key, Value, Hasher, Family>, Key,
-                             Value, Family> {
+    : public McCuckooChassis<McCuckooTable<Key, Value, Hasher>, Key, Value,
+                             Hasher> {
  public:
   using HasherType = Hasher;
 
@@ -88,8 +87,10 @@ class McCuckooTable
   };
 
  private:
-  using Chassis = McCuckooChassis<McCuckooTable, Key, Value, Family>;
+  using Chassis = McCuckooChassis<McCuckooTable, Key, Value, Hasher>;
   friend Chassis;
+  using typename Chassis::Candidates;
+  using Chassis::ComputeCandidates;
   using Chassis::bfs_throttle_;
   using Chassis::family_;
   using Chassis::first_collision_items_;
@@ -118,15 +119,6 @@ class McCuckooTable
 
   // Nested aggregates are defined before the operations: the batched and
   // candidate-reusing member signatures below mention them.
-
-  /// The d global bucket indices of a key (index = t * buckets_per_table +
-  /// h_t(key); distinct across sub-tables by construction), plus the key's
-  /// 8-bit fingerprint (derived for free from the same hash evaluation;
-  /// the counter store keeps its low nibble per bucket for probe screening).
-  struct Candidates {
-    std::array<size_t, kMaxHashes> idx;
-    uint8_t tag = 0;
-  };
 
   /// Up to d global indices holding copies of one key.
   struct CopySet {
@@ -868,15 +860,6 @@ class McCuckooTable
       retired_.push_back(RetiredStorage{std::move(rebuilt.table_),
                                         std::move(rebuilt.counters_)});
     }
-  }
-
-  Candidates ComputeCandidates(const Key& key) const {
-    Candidates c{};
-    const std::array<uint64_t, kMaxHashes> b = family_.Buckets(key, &c.tag);
-    for (uint32_t t = 0; t < opts_.num_hashes; ++t) {
-      c.idx[t] = static_cast<size_t>(t) * opts_.buckets_per_table + b[t];
-    }
-    return c;
   }
 
   // --- batching stage 1: hash + prefetch ---------------------------------

@@ -23,8 +23,8 @@ namespace mccuckoo {
 inline constexpr uint32_t kMaxHashes = 4;
 
 /// 8-bit key fingerprint from a raw (pre-range-reduction) 64-bit hash.
-/// Both families derive it from the hash they already compute for the
-/// first bucket index, so tagging costs zero extra hash evaluations. The
+/// HashFamily derives it from the hash it already computes for the first
+/// bucket index, so tagging costs zero extra hash evaluations. The
 /// golden-ratio remix decorrelates the extracted byte from the bucket
 /// index (FastRange64 consumes the *high* bits of the same word), so a
 /// bucket's occupants still spread over ~256 tag values.
@@ -121,90 +121,6 @@ class HashFamily {
   uint32_t d_;
   uint64_t buckets_per_table_;
   std::array<uint64_t, kMaxHashes> seeds_{};
-  Hasher hasher_;
-};
-
-/// Double-hashing family [21]: h_t(x) = h1(x) + t * h2(x) (mod n), with
-/// h2 forced non-zero mod n. Computes two hashes total instead of d — the
-/// hash-cost reduction of Mitzenmacher et al., who show cuckoo load
-/// thresholds are unaffected. Drop-in replacement for HashFamily via the
-/// tables' Family template parameter.
-template <typename Key, typename Hasher = BobHasher>
-class DoubleHashFamily {
- public:
-  DoubleHashFamily(uint32_t d, uint64_t buckets_per_table, uint64_t seed)
-      : d_(d), buckets_per_table_(buckets_per_table) {
-    assert(d >= 2 && d <= kMaxHashes);
-    assert(buckets_per_table > 0);
-    seed1_ = SplitMix64(seed + 0x6A09E667F3BCC909ull);
-    seed2_ = SplitMix64(seed + 0xBB67AE8584CAA73Bull);
-  }
-
-  uint32_t d() const { return d_; }
-  uint64_t buckets_per_table() const { return buckets_per_table_; }
-
-  /// Bucket index of `key` in sub-table `t`.
-  uint64_t Bucket(const Key& key, uint32_t t) const {
-    assert(t < d_);
-    const uint64_t n = buckets_per_table_;
-    const uint64_t h1 = hasher_(key, seed1_) % n;
-    const uint64_t h2 =
-        n > 1 ? hasher_(key, seed2_) % (n - 1) + 1 : 0;  // non-zero mod n
-    return (h1 + static_cast<uint64_t>(t) * h2) % n;
-  }
-
-  /// All d bucket indices (two hash evaluations total).
-  std::array<uint64_t, kMaxHashes> Buckets(const Key& key) const {
-    const uint64_t n = buckets_per_table_;
-    const uint64_t h1 = hasher_(key, seed1_) % n;
-    const uint64_t h2 = n > 1 ? hasher_(key, seed2_) % (n - 1) + 1 : 0;
-    std::array<uint64_t, kMaxHashes> out{};
-    for (uint32_t t = 0; t < d_; ++t) {
-      out[t] = (h1 + static_cast<uint64_t>(t) * h2) % n;
-    }
-    return out;
-  }
-
-  /// `key`'s 8-bit fingerprint, from the raw h1 evaluation.
-  uint8_t TagOf(const Key& key) const {
-    return TagFromHash(hasher_(key, seed1_));
-  }
-
-  /// All d bucket indices plus the fingerprint — still two hash
-  /// evaluations total (the tag reuses raw h1).
-  std::array<uint64_t, kMaxHashes> Buckets(const Key& key,
-                                           uint8_t* tag) const {
-    const uint64_t n = buckets_per_table_;
-    const uint64_t raw1 = hasher_(key, seed1_);
-    *tag = TagFromHash(raw1);
-    const uint64_t h1 = raw1 % n;
-    const uint64_t h2 = n > 1 ? hasher_(key, seed2_) % (n - 1) + 1 : 0;
-    std::array<uint64_t, kMaxHashes> out{};
-    for (uint32_t t = 0; t < d_; ++t) {
-      out[t] = (h1 + static_cast<uint64_t>(t) * h2) % n;
-    }
-    return out;
-  }
-
-  /// Batch entry point (see HashFamily::BucketsBatch): 2n hash evaluations
-  /// for n keys, values identical to n calls of Buckets().
-  void BucketsBatch(const Key* keys, size_t n,
-                    std::array<uint64_t, kMaxHashes>* out) const {
-    for (size_t i = 0; i < n; ++i) out[i] = Buckets(keys[i]);
-  }
-
-  /// Fused batch entry point (tags alongside indices, still 2n hashes).
-  void BucketsBatch(const Key* keys, size_t n,
-                    std::array<uint64_t, kMaxHashes>* out,
-                    uint8_t* tags) const {
-    for (size_t i = 0; i < n; ++i) out[i] = Buckets(keys[i], &tags[i]);
-  }
-
- private:
-  uint32_t d_;
-  uint64_t buckets_per_table_;
-  uint64_t seed1_;
-  uint64_t seed2_;
   Hasher hasher_;
 };
 

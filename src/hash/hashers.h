@@ -14,7 +14,6 @@
 
 #include "src/common/rng.h"
 #include "src/hash/jenkins.h"
-#include "src/hash/murmur3.h"
 #include "src/hash/xxhash.h"
 
 namespace mccuckoo {
@@ -80,21 +79,6 @@ struct XxHasher {
   }
   uint64_t operator()(std::string_view key, uint64_t seed) const {
     return XxHash64(key.data(), key.size(), seed);
-  }
-};
-
-/// MurmurHash3 x64_128-backed hasher (low half; see src/hash/murmur3.h).
-struct Murmur3Hasher {
-  template <typename Key>
-    requires std::is_trivially_copyable_v<Key>
-  uint64_t operator()(const Key& key, uint64_t seed) const {
-    return Murmur3x64(&key, sizeof(Key), seed);
-  }
-  uint64_t operator()(const std::string& key, uint64_t seed) const {
-    return Murmur3x64(key.data(), key.size(), seed);
-  }
-  uint64_t operator()(std::string_view key, uint64_t seed) const {
-    return Murmur3x64(key.data(), key.size(), seed);
   }
 };
 

@@ -12,9 +12,9 @@ namespace mccuckoo {
 namespace {
 
 // Drains `fd` until the end of the request headers (or a sanity cap) and
-// returns the request line's path, empty on malformed input. The body is
-// irrelevant: every route is a read-only GET.
-std::string ReadRequestPath(int fd) {
+// returns what arrived. The body is irrelevant: every route is a read-only
+// GET.
+std::string ReadRequest(int fd) {
   std::string req;
   char buf[1024];
   while (req.find("\r\n\r\n") == std::string::npos && req.size() < 16 * 1024) {
@@ -25,13 +25,16 @@ std::string ReadRequestPath(int fd) {
     // one complete request line is enough to route.
     if (req.find('\n') != std::string::npos) break;
   }
-  const size_t line_end = req.find_first_of("\r\n");
-  const std::string line =
-      line_end == std::string::npos ? req : req.substr(0, line_end);
-  if (line.compare(0, 4, "GET ") != 0) return "";
-  const size_t path_end = line.find(' ', 4);
-  if (path_end == std::string::npos) return line.substr(4);
-  return line.substr(4, path_end - 4);
+  return req;
+}
+
+// The request line's path, empty unless it is a GET.
+std::string_view RequestPath(std::string_view request) {
+  const std::string_view line =
+      request.substr(0, request.find_first_of("\r\n"));
+  if (line.substr(0, 4) != "GET ") return {};
+  const std::string_view rest = line.substr(4);
+  return rest.substr(0, rest.find(' '));
 }
 
 void SendAll(int fd, const std::string& data) {
@@ -49,8 +52,8 @@ void SendAll(int fd, const std::string& data) {
   }
 }
 
-void SendResponse(int fd, int code, const std::string& content_type,
-                  const std::string& body) {
+std::string FrameResponse(int code, std::string_view content_type,
+                          const std::string& body) {
   std::string resp = "HTTP/1.1 ";
   resp += code == 200 ? "200 OK" : "404 Not Found";
   resp += "\r\nContent-Type: ";
@@ -59,10 +62,37 @@ void SendResponse(int fd, int code, const std::string& content_type,
   resp += std::to_string(body.size());
   resp += "\r\nConnection: close\r\n\r\n";
   resp += body;
-  SendAll(fd, resp);
+  return resp;
 }
 
 }  // namespace
+
+std::string RespondStatsHttp(std::string_view request,
+                             const StatsHandlers* handlers,
+                             std::string_view banner) {
+  const std::string_view path = RequestPath(request);
+  if (path == "/") {
+    return FrameResponse(200, "text/plain", std::string(banner));
+  }
+  const std::function<std::string()>* handler = nullptr;
+  std::string_view content_type = "application/json";
+  if (handlers != nullptr) {
+    if (path == "/metrics") {
+      handler = &handlers->metrics;
+      content_type = "text/plain; version=0.0.4";
+    } else if (path == "/json") {
+      handler = &handlers->json;
+    } else if (path == "/trace") {
+      handler = &handlers->trace;
+    } else if (path == "/heatmap") {
+      handler = &handlers->heatmap;
+    }
+  }
+  if (handler == nullptr || !*handler) {
+    return FrameResponse(404, "text/plain", "not found\n");
+  }
+  return FrameResponse(200, content_type, (*handler)());
+}
 
 Status StatsServer::Start(StatsHandlers handlers, uint16_t port) {
   if (running_.load(std::memory_order_acquire)) {
@@ -128,30 +158,11 @@ void StatsServer::Serve() {
 }
 
 void StatsServer::HandleConnection(int fd) {
-  const std::string path = ReadRequestPath(fd);
+  const std::string request = ReadRequest(fd);
   requests_.fetch_add(1, std::memory_order_relaxed);
-  const std::function<std::string()>* handler = nullptr;
-  const char* content_type = "application/json";
-  if (path == "/metrics") {
-    handler = &handlers_.metrics;
-    content_type = "text/plain; version=0.0.4";
-  } else if (path == "/json") {
-    handler = &handlers_.json;
-  } else if (path == "/trace") {
-    handler = &handlers_.trace;
-  } else if (path == "/heatmap") {
-    handler = &handlers_.heatmap;
-  } else if (path == "/") {
-    SendResponse(fd, 200, "text/plain",
-                 "mccuckoo stats server\n"
-                 "routes: /metrics /json /trace /heatmap\n");
-    return;
-  }
-  if (handler == nullptr || !*handler) {
-    SendResponse(fd, 404, "text/plain", "not found\n");
-    return;
-  }
-  SendResponse(fd, 200, content_type, (*handler)());
+  SendAll(fd, RespondStatsHttp(request, &handlers_,
+                               "mccuckoo stats server\n"
+                               "routes: /metrics /json /trace /heatmap\n"));
 }
 
 }  // namespace mccuckoo

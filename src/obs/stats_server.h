@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "src/common/status.h"
@@ -40,6 +41,16 @@ struct StatsHandlers {
   std::function<std::string()> trace;    ///< /trace — chrome://tracing JSON.
   std::function<std::string()> heatmap;  ///< /heatmap — ExportHeatmapJson.
 };
+
+/// Answers one stats request: parses the request line at the start of
+/// `request` (a GET; anything else routes nowhere), serves /metrics /json
+/// /trace /heatmap from `handlers` (null, or an unset handler, answers 404)
+/// and `banner` on /, and returns the whole HTTP/1.1 response, framed with
+/// Content-Length and Connection: close. Shared by StatsServer and the
+/// cache server's HTTP mode (src/server/connection.h).
+std::string RespondStatsHttp(std::string_view request,
+                             const StatsHandlers* handlers,
+                             std::string_view banner);
 
 /// Blocking HTTP/1.0-style stats endpoint on 127.0.0.1.
 class StatsServer {

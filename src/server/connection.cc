@@ -76,50 +76,9 @@ bool Connection::ProcessHttp() {
     return in_.size() < 16 * 1024;
   }
   if (metrics_ != nullptr) metrics_->http_requests.Inc();
-  const size_t line_end = in_.find_first_of("\r\n");
-  const std::string line = in_.substr(0, line_end);
-  std::string path;
-  if (line.compare(0, 4, "GET ") == 0) {
-    const size_t path_end = line.find(' ', 4);
-    path = path_end == std::string::npos ? line.substr(4)
-                                         : line.substr(4, path_end - 4);
-  }
-  const std::function<std::string()>* handler = nullptr;
-  const char* content_type = "application/json";
-  if (http_ != nullptr) {
-    if (path == "/metrics") {
-      handler = &http_->metrics;
-      content_type = "text/plain; version=0.0.4";
-    } else if (path == "/json") {
-      handler = &http_->json;
-    } else if (path == "/trace") {
-      handler = &http_->trace;
-    } else if (path == "/heatmap") {
-      handler = &http_->heatmap;
-    }
-  }
-  std::string body;
-  int code = 200;
-  if (path == "/") {
-    body =
-        "mccuckoo cache server\n"
-        "routes: /metrics /json /trace\n";
-    content_type = "text/plain";
-  } else if (handler != nullptr && *handler) {
-    body = (*handler)();
-  } else {
-    code = 404;
-    body = "not found\n";
-    content_type = "text/plain";
-  }
-  out_ += "HTTP/1.1 ";
-  out_ += code == 200 ? "200 OK" : "404 Not Found";
-  out_ += "\r\nContent-Type: ";
-  out_ += content_type;
-  out_ += "\r\nContent-Length: ";
-  out_ += std::to_string(body.size());
-  out_ += "\r\nConnection: close\r\n\r\n";
-  out_ += body;
+  out_ += RespondStatsHttp(in_, http_,
+                           "mccuckoo cache server\n"
+                           "routes: /metrics /json /trace\n");
   in_.clear();
   return false;
 }

@@ -16,8 +16,9 @@
 // the protocol answers in order; opaques exist to make client bugs loud.
 //
 // HTTP mode: a first byte of 'G'/'H' (GET/HEAD) switches the connection to
-// a one-shot HTTP exchange against the caller-supplied StatsHandlers (the
-// PR 8 StatsServer routes), answered with Connection: close semantics.
+// a one-shot HTTP exchange against the caller-supplied StatsHandlers,
+// answered by the StatsServer's responder (RespondStatsHttp) with
+// Connection: close semantics.
 
 #ifndef MCCUCKOO_SERVER_CONNECTION_H_
 #define MCCUCKOO_SERVER_CONNECTION_H_

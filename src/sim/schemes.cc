@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "src/baseline/bcht_table.h"
 #include "src/baseline/cuckoo_table.h"
 #include "src/common/bits.h"
 #include "src/core/blocked_mccuckoo_table.h"

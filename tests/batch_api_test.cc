@@ -1,14 +1,15 @@
 // Batched-operation API tests: the prefetch-pipelined batch paths must be
 // *bit-identical* to their scalar equivalents — same results, same final
 // table state, same AccessStats (prefetching is a pure hint) — across all
-// four table types, all tile boundaries, and the sharded front-end.
+// four table types, all tile boundaries, and the sharded front-end; plus
+// the ForEachItem scan over all four tables.
 
 #include <gtest/gtest.h>
 
 #include <span>
+#include <unordered_map>
 #include <vector>
 
-#include "src/baseline/bcht_table.h"
 #include "src/baseline/cuckoo_table.h"
 #include "src/core/blocked_mccuckoo_table.h"
 #include "src/core/mccuckoo_table.h"
@@ -130,6 +131,31 @@ TYPED_TEST(BatchApiTest, ContainsBatchAndEdgeCases) {
   t.InsertBatch(std::span<const K>(), std::span<const V>());
   EXPECT_EQ(t.FindBatch(std::span<const K>(keys.data(), 3), nullptr, nullptr),
             3u);
+}
+
+template <typename C>
+class ForEachItemTest : public ::testing::Test {};
+TYPED_TEST_SUITE(ForEachItemTest, AllTables);
+
+// ForEachItem visits every live key once, main table and stash alike: the
+// fill runs to full capacity with a short kick chain so some are stashed.
+TYPED_TEST(ForEachItemTest, VisitsEveryKeyExactlyOnce) {
+  using Table = typename TypeParam::Table;
+  TableOptions o = TypeParam::Options();
+  o.maxloop = 8;
+  Table t(o);
+  const auto keys = MakeUniqueKeys(t.capacity(), 4, 0);
+  for (uint64_t k : keys) {
+    ASSERT_NE(t.Insert(k, ValueOf(k)), InsertResult::kFailed);
+  }
+  ASSERT_GT(t.stash_size(), 0u);
+  std::unordered_map<uint64_t, int> visits;
+  t.ForEachItem([&](uint64_t k, uint64_t v) {
+    EXPECT_EQ(v, ValueOf(k));
+    ++visits[k];
+  });
+  EXPECT_EQ(visits.size(), keys.size());
+  for (uint64_t k : keys) EXPECT_EQ(visits[k], 1) << k;
 }
 
 template <typename Table>

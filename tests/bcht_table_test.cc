@@ -1,4 +1,4 @@
-#include "src/baseline/bcht_table.h"
+#include "src/baseline/cuckoo_table.h"
 
 #include <gtest/gtest.h>
 

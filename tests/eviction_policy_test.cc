@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/baseline/bcht_table.h"
 #include "src/baseline/cuckoo_table.h"
 #include "src/core/blocked_mccuckoo_table.h"
 #include "src/core/eviction.h"

@@ -1,7 +1,7 @@
-// Tests of the alternative hashers (XXH64, MurmurHash3 x64_128, the
-// FPGA-style simple mixer), plus typed tests running the McCuckoo table
-// under every hasher and with string keys — the table logic must be
-// entirely hasher- and key-type-agnostic.
+// Tests of the alternative hashers (XXH64, the FPGA-style simple mixer),
+// plus typed tests running the McCuckoo table under every hasher and with
+// string keys — the table logic must be entirely hasher- and
+// key-type-agnostic.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 
 #include "src/core/mccuckoo_table.h"
 #include "src/hash/hashers.h"
-#include "src/hash/murmur3.h"
 #include "src/hash/xxhash.h"
 #include "src/workload/keyset.h"
 
@@ -50,34 +49,6 @@ TEST(XxHashTest, AvalancheOnBitFlip) {
   EXPECT_NEAR(changed / 64.0, 32.0, 4.0);
 }
 
-TEST(Murmur3Test, EmptyInputZeroSeedIsZero) {
-  // Known property of MurmurHash3 x64_128: all-zero state stays zero.
-  const auto [h1, h2] = Murmur3x64_128(nullptr, 0, 0);
-  EXPECT_EQ(h1, 0u);
-  EXPECT_EQ(h2, 0u);
-}
-
-TEST(Murmur3Test, DeterministicAndSeedSensitive) {
-  const char* s = "mccuckoo";
-  EXPECT_EQ(Murmur3x64(s, 8, 5), Murmur3x64(s, 8, 5));
-  EXPECT_NE(Murmur3x64(s, 8, 5), Murmur3x64(s, 8, 6));
-}
-
-TEST(Murmur3Test, HalvesAreIndependent) {
-  uint64_t key = 42;
-  const auto [h1, h2] = Murmur3x64_128(&key, 8, 7);
-  EXPECT_NE(h1, h2);
-}
-
-TEST(Murmur3Test, AllTailLengthsDistinct) {
-  std::set<uint64_t> hashes;
-  std::vector<uint8_t> buf(40, 0x5C);
-  for (size_t len = 0; len <= 17; ++len) {
-    hashes.insert(Murmur3x64(buf.data(), len, 3));
-  }
-  EXPECT_EQ(hashes.size(), 18u);
-}
-
 TEST(SimpleFpgaHasherTest, UniformEnoughForBuckets) {
   SimpleFpgaHasher h;
   constexpr uint64_t kBuckets = 64;
@@ -105,8 +76,7 @@ template <typename Hasher>
 class TableHasherTest : public ::testing::Test {};
 
 using AllHashers = ::testing::Types<BobHasher, Lookup3Hasher, SplitMixHasher,
-                                    XxHasher, Murmur3Hasher,
-                                    SimpleFpgaHasher>;
+                                    XxHasher, SimpleFpgaHasher>;
 TYPED_TEST_SUITE(TableHasherTest, AllHashers);
 
 TYPED_TEST(TableHasherTest, HighLoadRoundTrip) {
